@@ -23,18 +23,18 @@ output):
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from .core import (
     FreeAlgebra,
     NCPoly,
+    Scalar,
     ShiftContext,
     Tensor2,
     Tensor3,
     Word,
+    _clean,
     cyclic_class,
-    cyclic_normalize,
     sign_exp,
 )
 from .reports import CheckReport
@@ -47,7 +47,7 @@ def swap_legs(t: Tensor2) -> Tensor2:
     for (u, v), c in t.terms.items():
         s = sign_exp(alg.degree(u), alg.degree(v))
         key = (v, u)
-        out[key] = out.get(key, Fraction(0)) + s * c
+        out[key] = out.get(key, 0) + s * c
     return Tensor2(alg, out)
 
 
@@ -156,11 +156,11 @@ class BracketSpec:
         for (y1, y2), c in self.eval_words(u, w2, order).terms.items():
             s = sign_exp(dg, deg(y1))
             key = (y1, (g,) + y2)
-            terms[key] = terms.get(key, Fraction(0)) + s * c
+            terms[key] = terms.get(key, 0) + s * c
         for (z1, z2), c in self.eval_words((g,), w2, order).terms.items():
             s = sign_exp(du, r + deg(w2)) * sign_exp(du, deg(z2))
             key = (z1 + u, z2)
-            terms[key] = terms.get(key, Fraction(0)) + s * c
+            terms[key] = terms.get(key, 0) + s * c
         return Tensor2(alg, terms)
 
     def _right_rule(self, w1: Word, w2: Word, order: str) -> Tensor2:
@@ -170,11 +170,11 @@ class BracketSpec:
         terms: dict = {}
         for (p1, p2), c in self.eval_words(w1, (h,), order).terms.items():
             key = (p1, p2 + v)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         s0 = sign_exp(deg((h,)), r + deg(w1))
         for (q1, q2), c in self.eval_words(w1, v, order).terms.items():
             key = ((h,) + q1, q2)
-            terms[key] = terms.get(key, Fraction(0)) + s0 * c
+            terms[key] = terms.get(key, 0) + s0 * c
         return Tensor2(alg, terms)
 
 
@@ -209,7 +209,7 @@ def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
     for (y1, y2), cy in spec.eval_words(wb, wc, order).terms.items():
         for (p1, p2), cp in spec.eval_words(wa, y1, order).terms.items():
             key = (p1, p2, y2)
-            out[key] = out.get(key, Fraction(0)) + cy * cp
+            out[key] = out.get(key, 0) + cy * cp
     if memo is not None:
         memo[(wa, wb, wc)] = out
     return out
@@ -223,18 +223,7 @@ def _rotate_first_past(t: Tensor3) -> Tensor3:
     for (p1, p2, p3), c in t.terms.items():
         s = sign_exp(alg.degree(p1), alg.degree(p2) + alg.degree(p3))
         key = (p2, p3, p1)
-        out[key] = out.get(key, Fraction(0)) + s * c
-    return Tensor3(alg, out)
-
-
-def _rotate_last_to_front(t: Tensor3) -> Tensor3:
-    """(P1,P2,P3) -> (P3,P1,P2) with sign (-1)^((|P1|+|P2|)|P3|)."""
-    alg = t.algebra
-    out: dict = {}
-    for (p1, p2, p3), c in t.terms.items():
-        s = sign_exp(alg.degree(p1) + alg.degree(p2), alg.degree(p3))
-        key = (p3, p1, p2)
-        out[key] = out.get(key, Fraction(0)) + s * c
+        out[key] = out.get(key, 0) + s * c
     return Tensor3(alg, out)
 
 
@@ -245,17 +234,17 @@ def _dj_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
     da, db, dc = deg(wa), deg(wb), deg(wc)
     out: dict = {}
     for key, c in _first_term_words(spec, wa, wb, wc, order, memo).items():
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     s2 = sign_exp((da + r) + (db + r), dc + r)
     for (p1, p2, p3), c in _first_term_words(spec, wc, wa, wb, order, memo).items():
         s = s2 * sign_exp(deg(p1), deg(p2) + deg(p3))
         key = (p2, p3, p1)
-        out[key] = out.get(key, Fraction(0)) + s * c
+        out[key] = out.get(key, 0) + s * c
     s3 = sign_exp(da + r, (db + r) + (dc + r))
     for (p1, p2, p3), c in _first_term_words(spec, wb, wc, wa, order, memo).items():
         s = s3 * sign_exp(deg(p1) + deg(p2), deg(p3))
         key = (p3, p1, p2)
-        out[key] = out.get(key, Fraction(0)) + s * c
+        out[key] = out.get(key, 0) + s * c
     return Tensor3(alg, out)
 
 
@@ -286,11 +275,11 @@ def leibniz_bracket(spec: BracketSpec, a: NCPoly, b: NCPoly) -> NCPoly:
     out: dict = {}
     for (u, v), c in t.terms.items():
         w = u + v
-        out[w] = out.get(w, Fraction(0)) + c
+        out[w] = out.get(w, 0) + c
     return NCPoly(spec.algebra, out)
 
 
-def necklace_bracket(spec: BracketSpec, w1: Word, w2: Word) -> Dict[Word, Fraction]:
+def necklace_bracket(spec: BracketSpec, w1: Word, w2: Word) -> Dict[Word, Scalar]:
     """Bracket of two cyclic word classes, as a map canonical word -> coeff.
 
     Evaluates the Leibniz bracket on the given representatives and projects
@@ -303,27 +292,27 @@ def necklace_bracket(spec: BracketSpec, w1: Word, w2: Word) -> Dict[Word, Fracti
             raise ValueError("unit has no cyclic class")
     lb = leibniz_bracket(
         spec,
-        NCPoly(alg, {w1: Fraction(1)}),
-        NCPoly(alg, {w2: Fraction(1)}),
+        NCPoly(alg, {w1: 1}),
+        NCPoly(alg, {w2: 1}),
     )
     return project_cyclic(alg, lb)
 
 
-def project_cyclic(alg: FreeAlgebra, p: NCPoly) -> Dict[Word, Fraction]:
-    out: Dict[Word, Fraction] = {}
+def project_cyclic(alg: FreeAlgebra, p: NCPoly) -> Dict[Word, Scalar]:
+    out: Dict[Word, Scalar] = {}
     for w, c in p.terms.items():
         if not w:
-            out[()] = out.get((), Fraction(0)) + c
+            out[()] = out.get((), 0) + c
             continue
         cls = cyclic_class(alg, w)
         if cls is None:
             continue
         key, s = cls
-        out[key] = out.get(key, Fraction(0)) + s * c
-    return {k: v for k, v in out.items() if v}
+        out[key] = out.get(key, 0) + s * c
+    return _clean(out)
 
 
-def render_cyclic(alg: FreeAlgebra, m: Dict[Word, Fraction]) -> str:
+def render_cyclic(alg: FreeAlgebra, m: Dict[Word, Scalar]) -> str:
     if not m:
         return "0"
     pieces = []
@@ -391,9 +380,13 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     alg, r = spec.algebra, spec.shift.r
     rep = CheckReport("double-jacobi", max_len)
     words = list(alg.words_up_to(max_len))
-    # the shared F-term memo trades memory for a 3x saving; past a few
-    # hundred thousand triples the keys alone dominate, so drop it there
-    memo: Optional[dict] = {} if len(words) <= 40 else None
+    # the F-term memo holds up to one entry per word triple.  Median of 5
+    # runs (2-CPU Xeon VM, Python 3.11), time and peak RSS of the process:
+    # f1 at length 4 (31 words) 1.42 s / 61.5 MiB with it, 1.67 s /
+    # 21.4 MiB without; a 6-generator table with 3 constant pairs at length
+    # 2 (43 words) 0.36 s / 31.8 MiB with it, 0.34 s / 17.6 MiB without.
+    # Past 64 000 entries it costs memory and saves no time.
+    memo: Optional[dict] = {} if len(words) ** 3 <= 64_000 else None
     nonzero: dict = {}
     fail = None
     for w1, w2, w3 in itertools.product(words, words, words):
@@ -451,7 +444,7 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
             hit = {}
             for (u, v), c in spec.eval_words(wa, wb).terms.items():
                 w = u + v
-                hit[w] = hit.get(w, Fraction(0)) + c
+                hit[w] = hit.get(w, 0) + c
             lb_cache[(wa, wb)] = hit
         return hit
 
@@ -459,23 +452,23 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         out: dict = {}
         for wb, c in terms.items():
             for w, c2 in lb(wa, wb).items():
-                out[w] = out.get(w, Fraction(0)) + c * c2
+                out[w] = out.get(w, 0) + c * c2
         return out
 
     def lb_pw(terms: dict, wb: Word) -> dict:
         out: dict = {}
         for wa, c in terms.items():
             for w, c2 in lb(wa, wb).items():
-                out[w] = out.get(w, Fraction(0)) + c * c2
+                out[w] = out.get(w, 0) + c * c2
         return out
 
     for w1, w2, w3 in itertools.product(words, words, words):
         res = lb_wp(w1, lb(w2, w3))
         for w, c in lb_pw(lb(w1, w2), w3).items():
-            res[w] = res.get(w, Fraction(0)) - c
+            res[w] = res.get(w, 0) - c
         s = sign_exp(r + alg.degree(w1), r + alg.degree(w2))
         for w, c in lb_wp(w2, lb(w1, w3)).items():
-            res[w] = res.get(w, Fraction(0)) - s * c
+            res[w] = res.get(w, 0) - s * c
         res = {w: c for w, c in res.items() if c}
         if res:
             rep.add(
@@ -531,22 +524,22 @@ def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         seen.add(cls[0])
         classes.append(cls[0])
 
-    def nb_ext(w: Word, m: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
-        out: Dict[Word, Fraction] = {}
+    def nb_ext(w: Word, m: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
+        out: Dict[Word, Scalar] = {}
         for k, c in m.items():
             if not k:
                 continue  # bracket with the unit class vanishes
             for k2, c2 in necklace_bracket(spec, w, k).items():
-                out[k2] = out.get(k2, Fraction(0)) + c * c2
+                out[k2] = out.get(k2, 0) + c * c2
         return {k: v for k, v in out.items() if v}
 
-    def nb_ext_left(m: Dict[Word, Fraction], w: Word) -> Dict[Word, Fraction]:
-        out: Dict[Word, Fraction] = {}
+    def nb_ext_left(m: Dict[Word, Scalar], w: Word) -> Dict[Word, Scalar]:
+        out: Dict[Word, Scalar] = {}
         for k, c in m.items():
             if not k:
                 continue
             for k2, c2 in necklace_bracket(spec, k, w).items():
-                out[k2] = out.get(k2, Fraction(0)) + c * c2
+                out[k2] = out.get(k2, 0) + c * c2
         return {k: v for k, v in out.items() if v}
 
     for a, b, c in itertools.product(classes, classes, classes):
@@ -554,12 +547,12 @@ def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         rhs = nb_ext_left(necklace_bracket(spec, a, b), c)
         s = sign_exp(r + alg.degree(a), r + alg.degree(b))
         for k, v in nb_ext(b, necklace_bracket(spec, a, c)).items():
-            rhs[k] = rhs.get(k, Fraction(0)) + s * v
+            rhs[k] = rhs.get(k, 0) + s * v
         rhs = {k: v for k, v in rhs.items() if v}
         if lhs != rhs:
             diff = dict(lhs)
             for k, v in rhs.items():
-                diff[k] = diff.get(k, Fraction(0)) - v
+                diff[k] = diff.get(k, 0) - v
             diff = {k: v for k, v in diff.items() if v}
             rep.add(
                 "necklace-jacobi",

@@ -15,7 +15,6 @@ the defining composites, not assumed.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Dict, Optional, Union
 
 from .core import (
@@ -70,14 +69,14 @@ def universal_derivation(omega: OmegaPresentation, x: Union[NCPoly, Word]) -> NC
     if isinstance(x, NCPoly):
         items = x.terms.items()
     else:
-        items = [(tuple(x), Fraction(1))]
+        items = [(tuple(x), 1)]
     out: dict = {}
     for w, c in items:
         for j, letter in enumerate(w):
             if alg.is_module(letter):
                 raise ValueError(f"not a base word: {alg.render_word(w)}")
             key = w[:j] + (omega.form_of[letter],) + w[j + 1:]
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
     return NCPoly(alg, out)
 
 
@@ -121,11 +120,11 @@ def lift_derivation(omega: OmegaPresentation, h: Dict,
                 s = sign_exp(source_degree, alg.degree(pre))
                 for (t1, t2), c2 in val.terms.items():
                     key = (pre + t1, t2 + post)
-                    out[key] = out.get(key, Fraction(0)) + s * c * c2
+                    out[key] = out.get(key, 0) + s * c * c2
             else:
                 for wv, c2 in val.terms.items():
                     key = pre + wv + post
-                    out[key] = out.get(key, Fraction(0)) + c * c2
+                    out[key] = out.get(key, 0) + c * c2
         if tensor_valued:
             return Tensor2(alg, out)
         return NCPoly(alg, out)
@@ -141,7 +140,7 @@ def _legwise_d(omega: OmegaPresentation, t: Tensor2, leg: int) -> Tensor2:
         for j, letter in enumerate(w):
             dw = w[:j] + (omega.form_of[letter],) + w[j + 1:]
             key = (dw, v) if leg == 0 else (u, dw)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
     return Tensor2(alg, out)
 
 
@@ -203,7 +202,7 @@ def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
             for w2, c2 in dv.terms.items():
                 L, R = data.mb_eval(w1, w2)
                 for key, c in itertools.chain(L.terms.items(), R.terms.items()):
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * c
+                    acc[key] = acc.get(key, 0) + c1 * c2 * c
         diff = lhs - Tensor2(amb, acc)
         if diff:
             rep.add(
@@ -244,7 +243,7 @@ def double_partial(der: DerPresentation, i: int, w: Word) -> Tensor2:
             continue
         key = (w[:j], w[j + 1:])
         s = sign_exp(dD, alg.degree(w[:j]))
-        terms[key] = terms.get(key, Fraction(0)) + s
+        terms[key] = terms.get(key, 0) + s
     return Tensor2(alg, terms)
 
 
@@ -256,11 +255,11 @@ def ev_pairing(der: DerPresentation, xi, w) -> Tensor2:
     if isinstance(xi, NCPoly):
         xi_items = xi.terms.items()
     else:
-        xi_items = [(tuple(xi), Fraction(1))]
+        xi_items = [(tuple(xi), 1)]
     if isinstance(w, NCPoly):
         w_items = w.terms.items()
     else:
-        w_items = [(tuple(w), Fraction(1))]
+        w_items = [(tuple(w), 1)]
     out: dict = {}
     for wx, cx in xi_items:
         p, D, q = _split_module_word(alg, wx)
@@ -270,7 +269,7 @@ def ev_pairing(der: DerPresentation, xi, w) -> Tensor2:
             s0 = sign_exp(dq, alg.degree(ww))
             for (t1, t2), c in double_partial(der, i, ww).terms.items():
                 key = (p + t1, t2 + q)
-                out[key] = out.get(key, Fraction(0)) + s0 * cx * cw * c
+                out[key] = out.get(key, 0) + s0 * cx * cw * c
     return Tensor2(alg, out)
 
 
@@ -284,18 +283,18 @@ def phi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Ten
     for (u, v), c in ev_pairing(der, eta, wa).terms.items():
         for (s1, t1), c2 in ev_pairing(der, theta, u).terms.items():
             key = (s1, t1, v)
-            raw[key] = raw.get(key, Fraction(0)) + c * c2
+            raw[key] = raw.get(key, 0) + c * c2
     s0 = -sign_exp(dth, det)
     for (u, v), c in ev_pairing(der, theta, wa).terms.items():
         se = s0 * sign_exp(det, deg(u))
         for (s1, t1), c2 in ev_pairing(der, eta, v).terms.items():
             key = (u, s1, t1)
-            raw[key] = raw.get(key, Fraction(0)) + se * c * c2
+            raw[key] = raw.get(key, 0) + se * c * c2
     out: dict = {}
     for (a, b, c3), coef in raw.items():
         s = sign_exp(deg(b), deg(c3))
         key = (a, c3, b)
-        out[key] = out.get(key, Fraction(0)) + s * coef
+        out[key] = out.get(key, 0) + s * coef
     return Tensor3(alg, out)
 
 
@@ -309,17 +308,17 @@ def psi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Ten
         s = sign_exp(dth, deg(w1))
         for (s1, t1), c2 in ev_pairing(der, theta, w2).terms.items():
             key = (w1, s1, t1)
-            raw[key] = raw.get(key, Fraction(0)) + s * c * c2
+            raw[key] = raw.get(key, 0) + s * c * c2
     s0 = -sign_exp(dth, det)
     for (u, v), c in ev_pairing(der, theta, wa).terms.items():
         for (s1, t1), c2 in ev_pairing(der, eta, u).terms.items():
             key = (s1, t1, v)
-            raw[key] = raw.get(key, Fraction(0)) + s0 * c * c2
+            raw[key] = raw.get(key, 0) + s0 * c * c2
     out: dict = {}
     for (a, b, c3), coef in raw.items():
         s = sign_exp(deg(a), deg(b))
         key = (b, a, c3)
-        out[key] = out.get(key, Fraction(0)) + s * coef
+        out[key] = out.get(key, 0) + s * coef
     return Tensor3(alg, out)
 
 

@@ -220,9 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def positive_int(text: str) -> int:
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        return n
+
     def with_maxlen(sp):
-        sp.add_argument("--max-len", type=int, default=3, metavar="N",
-                        help="word length bound for checks (default 3)")
+        sp.add_argument("--max-len", type=positive_int, default=3, metavar="N",
+                        help="word length bound for checks, at least 1 (default 3)")
 
     sp = sub.add_parser("check", help="run the axiom suites on every bracket and dlr")
     sp.add_argument("file")

@@ -1,6 +1,7 @@
 """Exact arithmetic for free graded noncommutative algebras over Q.
 
-Scalars are `fractions.Fraction` throughout; nothing in this package ever
+Scalars are exact: a coefficient is stored as an `int` when it is integral
+and as a `fractions.Fraction` otherwise; nothing in this package ever
 touches floating point.  A word is a tuple of generator indices into a fixed
 `FreeAlgebra`; the empty tuple is the unit.  Polynomials and tensors are
 sparse maps from words (or leg tuples) to nonzero coefficients.
@@ -53,14 +54,14 @@ def sign_exp(d1: int, d2: int) -> int:
     return -1 if (d1 & 1) and (d2 & 1) else 1
 
 
-def koszul_sign(degrees_moved: Iterable[int], degrees_passed: Iterable[int]) -> Fraction:
-    """Koszul sign (-1)^(sum(moved) * sum(passed)) as an exact rational.
+def koszul_sign(degrees_moved: Iterable[int], degrees_passed: Iterable[int]) -> int:
+    """Koszul sign (-1)^(sum(moved) * sum(passed)) as an int.
 
     This is the one place graded commutativity signs come from; composite
     morphisms are evaluated as sequences of elementary moves, each paying
     its toll here.
     """
-    return Fraction(sign_exp(sum(degrees_moved), sum(degrees_passed)))
+    return sign_exp(sum(degrees_moved), sum(degrees_passed))
 
 
 class FreeAlgebra:
@@ -71,7 +72,7 @@ class FreeAlgebra:
     presents the tensor algebra of a free bimodule over the BASE part.
     """
 
-    __slots__ = ("gens", "_index", "_degrees", "_module_mask")
+    __slots__ = ("gens", "_index", "_degrees", "_module_mask", "_word_degrees")
 
     def __init__(self, gens: Sequence[Generator]):
         gens = tuple(gens)
@@ -82,6 +83,7 @@ class FreeAlgebra:
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
         self._module_mask = tuple(g.colour is Colour.MODULE for g in gens)
+        self._word_degrees: dict = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -118,8 +120,13 @@ class FreeAlgebra:
     # -- words ------------------------------------------------------------
 
     def degree(self, w: Word) -> int:
-        d = self._degrees
-        return sum(d[i] for i in w)
+        """Total degree of a word, memoised per word: the sign rules ask for
+        the same few words' degrees many times over."""
+        d = self._word_degrees.get(w)
+        if d is None:
+            degs = self._degrees
+            d = self._word_degrees[w] = sum(degs[i] for i in w)
+        return d
 
     def weight(self, w: Word) -> int:
         """Number of MODULE letters in the word."""
@@ -153,22 +160,35 @@ class FreeAlgebra:
         return NCPoly(self, {})
 
     def one(self) -> "NCPoly":
-        return NCPoly(self, {(): Fraction(1)})
+        return NCPoly(self, {(): 1})
 
     def gen(self, name: str) -> "NCPoly":
-        return NCPoly(self, {(self.index(name),): Fraction(1)})
+        return NCPoly(self, {(self.index(name),): 1})
 
     def poly(self, terms: Mapping[Word, Scalar]) -> "NCPoly":
         return NCPoly(self, terms)
 
     def monomial(self, text: str, coeff: Scalar = 1) -> "NCPoly":
-        return NCPoly(self, {self.word(text): Fraction(coeff)})
+        return NCPoly(self, {self.word(text): coeff})
+
+
+def exact_scalar(c) -> Scalar:
+    """The exact value of a scalar: an int when it is integral, a Fraction
+    otherwise.  Python mixes the two exactly and renders them alike."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _clean(terms: Mapping) -> dict:
+    """Drop zero coefficients and store the rest by `exact_scalar`."""
     out = {}
     for k, c in terms.items():
-        c = Fraction(c)
+        if type(c) is not int:
+            c = exact_scalar(c)
         if c:
             out[k] = c
     return out
@@ -180,7 +200,8 @@ def _require_same(a: FreeAlgebra, b: FreeAlgebra):
 
 
 class NCPoly:
-    """Sparse noncommutative polynomial: finite map word -> nonzero Fraction."""
+    """Sparse noncommutative polynomial: finite map word -> nonzero exact
+    scalar (an int when integral, a Fraction otherwise)."""
 
     __slots__ = ("algebra", "terms")
 
@@ -208,7 +229,7 @@ class NCPoly:
         _require_same(self.algebra, other.algebra)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
         return NCPoly(self.algebra, out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
@@ -218,22 +239,11 @@ class NCPoly:
         return NCPoly(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "NCPoly":
-        c = Fraction(c)
+        c = exact_scalar(c)
         return NCPoly(self.algebra, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         return poly_mul(self, other)
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.algebra.degree(w) for w in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_parts(self) -> dict:
-        """Split by total degree; keys are degrees, values NCPoly."""
-        parts: dict = {}
-        for w, c in self.terms.items():
-            parts.setdefault(self.algebra.degree(w), {})[w] = c
-        return {d: NCPoly(self.algebra, t) for d, t in sorted(parts.items())}
 
 
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
@@ -243,7 +253,7 @@ def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             w = w1 + w2
-            out[w] = out.get(w, Fraction(0)) + c1 * c2
+            out[w] = out.get(w, 0) + c1 * c2
     return NCPoly(a.algebra, out)
 
 
@@ -276,7 +286,7 @@ class Tensor2:
         _require_same(self.algebra, other.algebra)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return Tensor2(self.algebra, out)
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
@@ -286,7 +296,7 @@ class Tensor2:
         return Tensor2(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Tensor2":
-        c = Fraction(c)
+        c = exact_scalar(c)
         return Tensor2(self.algebra, {k: c * v for k, v in self.terms.items()})
 
     def degrees(self) -> set:
@@ -330,7 +340,7 @@ class Tensor3:
         _require_same(self.algebra, other.algebra)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return Tensor3(self.algebra, out)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
@@ -340,7 +350,7 @@ class Tensor3:
         return Tensor3(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Tensor3":
-        c = Fraction(c)
+        c = exact_scalar(c)
         return Tensor3(self.algebra, {k: c * v for k, v in self.terms.items()})
 
 
@@ -353,7 +363,7 @@ def tensor2(algebra: FreeAlgebra, *entries) -> Tensor2:
         else:
             t1, t2, c = e
         k = (algebra.word(t1), algebra.word(t2))
-        terms[k] = terms.get(k, Fraction(0)) + Fraction(c)
+        terms[k] = terms.get(k, 0) + exact_scalar(c)
     return Tensor2(algebra, terms)
 
 
@@ -409,7 +419,7 @@ def cyclic_normalize(algebra: FreeAlgebra, w: Word) -> tuple:
     best = min(r for r, _ in rotations)
     for r, s in rotations:
         if r == best:
-            return best, Fraction(s)
+            return best, s
     raise AssertionError("unreachable")
 
 
@@ -433,4 +443,4 @@ def cyclic_class(algebra: FreeAlgebra, w: Word) -> Optional[tuple]:
     if sign != 1 and w in seen and seen[w] != sign:
         return None
     best = min(seen)
-    return best, Fraction(seen[best])
+    return best, seen[best]

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .core import (
@@ -199,11 +198,11 @@ class DLRData:
             terms: dict = {}
             for (t1, t2), c in self.anchor_eval(wm, (g,)).terms.items():
                 k2 = (t1, t2 + v)
-                terms[k2] = terms.get(k2, Fraction(0)) + c
+                terms[k2] = terms.get(k2, 0) + c
             s0 = sign_exp(deg((g,)), r + deg(wm))
             for (t1, t2), c in self.anchor_eval(wm, v).terms.items():
                 k2 = ((g,) + t1, t2)
-                terms[k2] = terms.get(k2, Fraction(0)) + s0 * c
+                terms[k2] = terms.get(k2, 0) + s0 * c
             out = Tensor2(alg, terms)
         else:
             p, m, q = _split_module_word(alg, wm)
@@ -214,7 +213,7 @@ class DLRData:
                 t1q = t1 + q
                 s *= sign_exp(deg(p), deg(t1q))
                 k2 = (t1q, p + t2)
-                terms[k2] = terms.get(k2, Fraction(0)) + s * c
+                terms[k2] = terms.get(k2, 0) + s * c
             out = Tensor2(alg, terms)
         self._anchor_cache[key] = out
         return out
@@ -228,7 +227,7 @@ class DLRData:
         for (t1, t2), c in self.anchor_eval(wm, wa).terms.items():
             s = s0 * sign_exp(deg(t1), deg(t2))
             key = (t2, t1)
-            terms[key] = terms.get(key, Fraction(0)) + s * c
+            terms[key] = terms.get(key, 0) + s * c
         return Tensor2(alg, terms)
 
     # -- module bracket extension ----------------------------------------
@@ -255,11 +254,11 @@ class DLRData:
         lt: dict = {}
         for (p, q), c in R.terms.items():
             s = s0 * sign_exp(deg(p), deg(q))
-            lt[(q, p)] = lt.get((q, p), Fraction(0)) + s * c
+            lt[(q, p)] = lt.get((q, p), 0) + s * c
         rt: dict = {}
         for (u, v), c in L.terms.items():
             s = s0 * sign_exp(deg(u), deg(v))
-            rt[(v, u)] = rt.get((v, u), Fraction(0)) + s * c
+            rt[(v, u)] = rt.get((v, u), 0) + s * c
         return (Tensor2(alg, lt), Tensor2(alg, rt))
 
     def mb_eval(self, w1: Word, w2: Word) -> Tuple[Tensor2, Tensor2]:
@@ -277,12 +276,12 @@ class DLRData:
             L, R = self.mb_eval(w1, n)
             lt: dict = {}
             for (u, v), c in L.terms.items():
-                lt[((a,) + u, v)] = lt.get(((a,) + u, v), Fraction(0)) + s0 * c
+                lt[((a,) + u, v)] = lt.get(((a,) + u, v), 0) + s0 * c
             rt: dict = {}
             for (p, q), c in R.terms.items():
-                rt[((a,) + p, q)] = rt.get(((a,) + p, q), Fraction(0)) + s0 * c
+                rt[((a,) + p, q)] = rt.get(((a,) + p, q), 0) + s0 * c
             for (t1, t2), c in self.anchor_eval(w1, (a,)).terms.items():
-                rt[(t1, t2 + n)] = rt.get((t1, t2 + n), Fraction(0)) + c
+                rt[(t1, t2 + n)] = rt.get((t1, t2 + n), 0) + c
             out = (Tensor2(alg, lt), Tensor2(alg, rt))
         elif len(w2) > 1:
             # second slot m tail with a pure base tail
@@ -290,13 +289,13 @@ class DLRData:
             L, R = self.mb_eval(w1, n)
             lt = {}
             for (u, v), c in L.terms.items():
-                lt[(u, v + tail)] = lt.get((u, v + tail), Fraction(0)) + c
+                lt[(u, v + tail)] = lt.get((u, v + tail), 0) + c
             rt = {}
             for (p, q), c in R.terms.items():
-                rt[(p, q + tail)] = rt.get((p, q + tail), Fraction(0)) + c
+                rt[(p, q + tail)] = rt.get((p, q + tail), 0) + c
             s0 = sign_exp(deg(n), r + deg(w1))
             for (t1, t2), c in self.anchor_eval(w1, tail).terms.items():
-                lt[(n + t1, t2)] = lt.get((n + t1, t2), Fraction(0)) + s0 * c
+                lt[(n + t1, t2)] = lt.get((n + t1, t2), 0) + s0 * c
             out = (Tensor2(alg, lt), Tensor2(alg, rt))
         elif len(w1) == 1:
             out = self.mb_gen(w1[0], w2[0])
@@ -357,10 +356,10 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
             u, v = wa[:cut], wa[cut:]
             terms: dict = {}
             for (t1, t2), c in d.anchor_eval(wm, u).terms.items():
-                terms[(t1, t2 + v)] = terms.get((t1, t2 + v), Fraction(0)) + c
+                terms[(t1, t2 + v)] = terms.get((t1, t2 + v), 0) + c
             s = sign_exp(deg(u), r + deg(wm))
             for (t1, t2), c in d.anchor_eval(wm, v).terms.items():
-                terms[(u + t1, t2)] = terms.get((u + t1, t2), Fraction(0)) + s * c
+                terms[(u + t1, t2)] = terms.get((u + t1, t2), 0) + s * c
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
                 fail = (wm, wa, f"split {cut}", diff.render())
@@ -374,7 +373,7 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
             terms = {}
             for (t1, t2), c in inner.terms.items():
                 s = sign_exp(deg(p), deg(t1))
-                terms[(t1, p + t2)] = terms.get((t1, p + t2), Fraction(0)) + s * c
+                terms[(t1, p + t2)] = terms.get((t1, p + t2), 0) + s * c
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
                 fail = (wm, wa, "left action", diff.render())
@@ -385,7 +384,7 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
             terms = {}
             for (t1, t2), c in inner.terms.items():
                 s = sign_exp(deg(q), r + deg(wa)) * sign_exp(deg(q), deg(t2))
-                terms[(t1 + q, t2)] = terms.get((t1 + q, t2), Fraction(0)) + s * c
+                terms[(t1 + q, t2)] = terms.get((t1 + q, t2), 0) + s * c
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
                 fail = (wm, wa, "right action", diff.render())
@@ -411,12 +410,12 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                 s = sign_exp(deg(a), r + deg(w1))
                 lt: dict = {}
                 for (u, v), c in Ln.terms.items():
-                    lt[(a + u, v)] = lt.get((a + u, v), Fraction(0)) + s * c
+                    lt[(a + u, v)] = lt.get((a + u, v), 0) + s * c
                 rt: dict = {}
                 for (p, q), c in Rn.terms.items():
-                    rt[(a + p, q)] = rt.get((a + p, q), Fraction(0)) + s * c
+                    rt[(a + p, q)] = rt.get((a + p, q), 0) + s * c
                 for (t1, t2), c in d.anchor_eval(w1, a).terms.items():
-                    rt[(t1, t2 + n)] = rt.get((t1, t2 + n), Fraction(0)) + c
+                    rt[(t1, t2 + n)] = rt.get((t1, t2 + n), 0) + c
                 res = _pair_residual((L2, R2), (Tensor2(alg, lt), Tensor2(alg, rt)))
                 if res is not None:
                     fail = (w1, w2, f"left split {cut}", res)
@@ -427,13 +426,13 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                 Ln, Rn = d.mb_eval(w1, n)
                 lt = {}
                 for (u, v), c in Ln.terms.items():
-                    lt[(u, v + a)] = lt.get((u, v + a), Fraction(0)) + c
+                    lt[(u, v + a)] = lt.get((u, v + a), 0) + c
                 rt = {}
                 for (p, q), c in Rn.terms.items():
-                    rt[(p, q + a)] = rt.get((p, q + a), Fraction(0)) + c
+                    rt[(p, q + a)] = rt.get((p, q + a), 0) + c
                 s = sign_exp(deg(n), r + deg(w1))
                 for (t1, t2), c in d.anchor_eval(w1, a).terms.items():
-                    lt[(n + t1, t2)] = lt.get((n + t1, t2), Fraction(0)) + s * c
+                    lt[(n + t1, t2)] = lt.get((n + t1, t2), 0) + s * c
                 res = _pair_residual((L2, R2), (Tensor2(alg, lt), Tensor2(alg, rt)))
                 if res is not None:
                     fail = (w1, w2, f"right split {cut}", res)
@@ -456,19 +455,19 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
         for (u, v), c in L.terms.items():
             for (t1, t2), c2 in d.rho_tau(wa, u).terms.items():
                 k3 = (t1, t2, v)
-                terms[k3] = terms.get(k3, Fraction(0)) + c * c2
+                terms[k3] = terms.get(k3, 0) + c * c2
         s2 = sign_exp(da + r, (dm + r) + (dn + r))
         for (p, q), c in d.anchor_eval(wn, wa).terms.items():
             for (t1, t2), c2 in d.anchor_eval(wm, p).terms.items():
                 s = s2 * sign_exp(deg(t1) + deg(t2), deg(q))
                 k3 = (q, t1, t2)
-                terms[k3] = terms.get(k3, Fraction(0)) + s * c * c2
+                terms[k3] = terms.get(k3, 0) + s * c * c2
         s3 = sign_exp((da + r) + (dm + r), dn + r)
         for (p, q), c in d.rho_tau(wa, wm).terms.items():
             for (t1, t2), c2 in d.anchor_eval(wn, p).terms.items():
                 s = s3 * sign_exp(deg(t1), deg(t2) + deg(q))
                 k3 = (t2, q, t1)
-                terms[k3] = terms.get(k3, Fraction(0)) + s * c * c2
+                terms[k3] = terms.get(k3, 0) + s * c * c2
         res = Tensor3(alg, terms)
         if res:
             fail = (wa, wm, wn, res.render())
@@ -490,7 +489,7 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
             Lu, _ = d.mb_eval(w1, u)
             for (s1, t1), c2 in Lu.terms.items():
                 k3 = (s1, t1, v)
-                terms[k3] = terms.get(k3, Fraction(0)) + c * c2
+                terms[k3] = terms.get(k3, 0) + c * c2
         s2 = sign_exp((d1 + r) + (d2 + r), d3 + r)
         L12, _ = d.mb_eval(w1, w2)
         for (u, v), c in L12.terms.items():
@@ -498,14 +497,14 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
             for (p, q), c2 in Ru.terms.items():
                 s = s2 * sign_exp(deg(p), deg(q) + deg(v))
                 k3 = (q, v, p)
-                terms[k3] = terms.get(k3, Fraction(0)) + s * c * c2
+                terms[k3] = terms.get(k3, 0) + s * c * c2
         s3 = sign_exp(d1 + r, (d2 + r) + (d3 + r))
         _, R31 = d.mb_eval(w3, w1)
         for (p, q), c in R31.terms.items():
             for (t1, t2), c2 in d.anchor_eval(w2, p).terms.items():
                 s = s3 * sign_exp(deg(t1) + deg(t2), deg(q))
                 k3 = (q, t1, t2)
-                terms[k3] = terms.get(k3, Fraction(0)) + s * c * c2
+                terms[k3] = terms.get(k3, 0) + s * c * c2
         res = Tensor3(alg, terms)
         if res:
             fail = (w1, w2, w3, res.render())
@@ -642,7 +641,7 @@ def assoc_product_check(bimodule: BimoduleSpec, f: Dict) -> CheckReport:
         return out
 
     rep = CheckReport("product-associativity", 1)
-    gens = [NCPoly(alg, {(i,): Fraction(1)}) for i in range(len(alg.gens))]
+    gens = [NCPoly(alg, {(i,): 1}) for i in range(len(alg.gens))]
     names = [g.name for g in alg.gens]
     for a, b, c in itertools.product(range(len(gens)), repeat=3):
         lhs = prod(prod(gens[a], gens[b]), gens[c])

@@ -4,8 +4,6 @@ freely."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
 from .brackets import BracketSpec
 from .dlr import BimoduleSpec, DLRData
@@ -84,7 +82,7 @@ def koszul_f2_tables() -> DLRData:
 def flipped_anchor_dlr() -> DLRData:
     """koszul_f2_tables with the anchor negated; condition (c) breaks."""
     d = koszul_f2_tables()
-    bad = {k: v.scale(Fraction(-1)) for k, v in d.anchor.items()}
+    bad = {k: v.scale(-1) for k, v in d.anchor.items()}
     return DLRData(d.bimodule, d.shift, bad, d.mbracket)
 
 

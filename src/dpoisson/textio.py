@@ -249,17 +249,22 @@ class _Parser:
         if self.peek().kind in ("+", "-"):
             sign = -1 if self.advance().kind == "-" else 1
         while True:
-            coeff = Fraction(sign)
+            coeff = sign
             t = self.peek()
             if t.kind == "number" and self.toks[self.pos + 1].kind == "*":
                 self.advance()
                 self.advance()
-                coeff *= Fraction(t.value)
+                try:
+                    coeff *= Fraction(t.value)
+                except ZeroDivisionError:
+                    raise DocumentError(
+                        f"zero denominator in {t.value!r}", t.line, t.col
+                    ) from None
             w1 = self.word(alg)
             self.expect("(*)")
             w2 = self.word(alg)
             key = (w1, w2)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
             if self.peek().kind in ("+", "-"):
                 sign = -1 if self.advance().kind == "-" else 1
                 continue

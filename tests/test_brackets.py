@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpoisson import fixtures as fx
-from dpoisson.core import FreeAlgebra, Generator, ShiftContext, tensor2
+from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
 from dpoisson.brackets import (
     BracketSpec,
     antisym_partner,
@@ -292,3 +292,48 @@ def test_eval_scales_bilinearly(c1, c2):
     )
     got = scaled.eval_words(A.word("x"), A.word("y.x"))
     assert got == base.scale(Fraction(c1 * c2))
+
+
+NON_INTEGRAL = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(
+    lambda c: c.denominator != 1)
+
+
+def random_tables(alg):
+    """Integral generator tables {{x_i, x_j}} for i <= j; the transposes
+    are synthesized by antisymmetry."""
+    words = st.lists(st.integers(0, len(alg.gens) - 1), max_size=1).map(tuple)
+    value = st.dictionaries(st.tuples(words, words), st.integers(-2, 2), max_size=3)
+    pairs = [(i, j) for i in range(len(alg.gens)) for j in range(i, len(alg.gens))]
+    return st.fixed_dictionaries(
+        {p: value.map(lambda t: Tensor2(alg, t)) for p in pairs})
+
+
+def scaled_spec(spec, c):
+    return BracketSpec(spec.algebra, spec.shift,
+                       {k: v.scale(c) for k, v in spec.table.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_rational_scaling_keeps_verdicts(data):
+    # every axiom residual is a polynomial without constant term in the
+    # table, so scaling by a nonzero c cannot change which inputs fail
+    A = FreeAlgebra((Generator("x"), Generator("y")))
+    spec = BracketSpec(A, ShiftContext(0), data.draw(random_tables(A)))
+    c = data.draw(NON_INTEGRAL)
+    base = run_bracket_checks(spec, max_len=2)
+    scaled = run_bracket_checks(scaled_spec(spec, c), max_len=2)
+    assert scaled.verdict_vector() == base.verdict_vector()
+    assert [e.witness for e in scaled.entries] == [e.witness for e in base.entries]
+
+
+@settings(max_examples=10, deadline=None)
+@given(NON_INTEGRAL)
+def test_rational_scaling_of_jacobi_residual(c):
+    spec = fx.jacobi_violator()
+    A = spec.algebra
+    x, y = A.gen("x"), A.gen("y")
+    got = check_double_jacobi(scaled_spec(spec, c), max_len=2).entry("double-jacobi")
+    assert got.witness == "(x, x, y)"
+    assert got.residual == double_jacobiator(spec, x, x, y).scale(c * c).render()
+    assert got.residual == f"- {c * c} * x (*) x (*) y"

@@ -79,6 +79,27 @@ def test_check_max_len_flag(capsys):
     assert "(max-len 1)" in out
 
 
+def test_check_zero_denominator_exits_two(capsys, tmp_path):
+    p = tmp_path / "zero_den.dbr"
+    p.write_text("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\n"
+                 "bracket B on A {\n  [x, y] = 1/0 * 1 (*) 1\n}\n")
+    code, out, err = run(capsys, "check", p)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 6, col 12: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_check_rejects_max_len_below_one(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(FIXDIR / "f1.dbr"), "--max-len", n])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"argument --max-len: must be at least 1, got {n}" in cap.err
+    assert "Traceback" not in cap.err
+
+
 def test_check_empty_document(capsys, tmp_path):
     p = tmp_path / "only.dbr"
     p.write_text("algebra A {\n  shift = 0\n  gens = [ x:0 ]\n}\n")

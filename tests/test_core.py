@@ -154,6 +154,35 @@ def test_poly_mul_distributes(data):
     assert poly_mul(p, q + r) == poly_mul(p, q) + poly_mul(p, r)
 
 
+def test_integral_coefficients_are_stored_as_int():
+    A = alg_xy()
+    x, xy = A.word("x"), A.word("x.y")
+    assert type(A.monomial("x.y", Fraction(4, 2)).terms[xy]) is int
+    assert type(A.one().terms[()]) is int
+    half = A.monomial("x", Fraction(1, 2))
+    assert type(half.terms[x]) is Fraction
+    # arithmetic that lands on an integer stores an int again
+    assert type((half + half).terms[x]) is int
+    assert type(half.scale(Fraction(4, 3)).terms[x]) is Fraction
+    assert type(half.scale(4).terms[x]) is int
+    assert type(half.scale(2.0).terms[x]) is int  # never a float
+    assert type(poly_mul(half, A.monomial("y", 2)).terms[A.word("x.y")]) is int
+    t = tensor2(A, ("x", "1", Fraction(6, 3)), ("1", "x", "1/3"))
+    assert type(t.terms[(x, ())]) is int
+    assert t.terms[((), x)] == Fraction(1, 3)
+    assert type(Tensor3(A, {(x, (), ()): Fraction(-3, 3)}).terms[(x, (), ())]) is int
+    # equal values, equal rendering, whichever type holds them
+    assert A.monomial("x", Fraction(2)) == A.monomial("x", 2)
+    assert A.monomial("x", Fraction(-2)).render() == "- 2 * x"
+
+
+def test_signs_are_ints():
+    A = alg_graded()
+    assert type(koszul_sign([1], [1])) is int
+    assert type(cyclic_normalize(A, A.word("b.a"))[1]) is int
+    assert type(cyclic_class(A, A.word("b.a"))[1]) is int
+
+
 # -- tensors --------------------------------------------------------------
 
 

@@ -111,6 +111,9 @@ ERRORS = [
     ("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\nbracket B on A {\n"
      "  [x, y] = 1 (*) 1\n  [y, x] = 1 (*) 1\n}\n",
      "inconsistent with antisymmetry"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\nbracket B on A {\n"
+     "  [x, y] = 1 (*) 1 - 1/0 * x (*) y\n}\n",
+     "line 6, col 22: zero denominator in '1/0'"),
 ]
 
 
