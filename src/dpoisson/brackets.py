@@ -23,7 +23,7 @@ output):
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import (
     FreeAlgebra,
@@ -34,6 +34,7 @@ from .core import (
     Tensor3,
     Word,
     _clean,
+    add_into,
     cyclic_class,
     sign_exp,
 )
@@ -42,13 +43,7 @@ from .reports import CheckReport
 
 def swap_legs(t: Tensor2) -> Tensor2:
     """Signed leg swap tau: u (x) v -> (-1)^(|u||v|) v (x) u."""
-    alg = t.algebra
-    out: dict = {}
-    for (u, v), c in t.terms.items():
-        s = sign_exp(alg.degree(u), alg.degree(v))
-        key = (v, u)
-        out[key] = out.get(key, 0) + s * c
-    return Tensor2(alg, out)
+    return t.permute((1, 0))
 
 
 def antisym_partner(t: Tensor2, d_first: int, d_second: int, r: int) -> Tensor2:
@@ -56,8 +51,7 @@ def antisym_partner(t: Tensor2, d_first: int, d_second: int, r: int) -> Tensor2:
 
     d_first, d_second are the degrees of a and b (the output orientation).
     """
-    s = sign_exp(r + d_first, r + d_second)
-    return swap_legs(t).scale(-s)
+    return t.permute((1, 0), -sign_exp(r + d_first, r + d_second))
 
 
 class BracketSpec:
@@ -215,18 +209,6 @@ def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
     return out
 
 
-def _rotate_first_past(t: Tensor3) -> Tensor3:
-    """(P1,P2,P3) -> (P2,P3,P1) with sign (-1)^(|P1|(|P2|+|P3|)); the output
-    legs are bare algebra factors, so no shift contribution here."""
-    alg = t.algebra
-    out: dict = {}
-    for (p1, p2, p3), c in t.terms.items():
-        s = sign_exp(alg.degree(p1), alg.degree(p2) + alg.degree(p3))
-        key = (p2, p3, p1)
-        out[key] = out.get(key, 0) + s * c
-    return Tensor3(alg, out)
-
-
 def _dj_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
               order: str = "left", memo: Optional[dict] = None) -> Tensor3:
     alg, r = spec.algebra, spec.shift.r
@@ -342,8 +324,8 @@ def check_antisymmetry(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     rep = CheckReport("antisymmetry", max_len)
     for w1, w2 in _word_pairs(alg, max_len):
         d1, d2 = alg.degree(w1), alg.degree(w2)
-        res = spec.eval_words(w1, w2) + swap_legs(spec.eval_words(w2, w1)).scale(
-            sign_exp(r + d1, r + d2)
+        res = spec.eval_words(w1, w2) + spec.eval_words(w2, w1).permute(
+            (1, 0), sign_exp(r + d1, r + d2)
         )
         if res:
             rep.add(
@@ -406,8 +388,9 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
             residual=val.render(),
         )
     # the jacobiator must be fixed by the signed cyclic rotation of inputs
-    # and output legs simultaneously; zero triples only need a look when a
-    # rotation pairs them with a nonzero one
+    # and output legs simultaneously (output legs are bare algebra factors,
+    # so their rotation pays no shift); zero triples only need a look when
+    # a rotation pairs them with a nonzero one
     empty = Tensor3(alg, {})
     to_check = set(nonzero)
     to_check.update((t[1], t[2], t[0]) for t in nonzero)
@@ -416,7 +399,7 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         val = nonzero.get((w1, w2, w3), empty)
         d1, d2, d3 = alg.degree(w1), alg.degree(w2), alg.degree(w3)
         s_in = sign_exp((d1 + r) + (d2 + r), d3 + r)
-        other = _rotate_first_past(nonzero.get((w3, w1, w2), empty)).scale(s_in)
+        other = nonzero.get((w3, w1, w2), empty).permute((1, 2, 0), s_in)
         if val != other:
             rep.add(
                 "jacobi-cyclic-stability",
@@ -524,36 +507,24 @@ def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         seen.add(cls[0])
         classes.append(cls[0])
 
-    def nb_ext(w: Word, m: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
-        out: Dict[Word, Scalar] = {}
-        for k, c in m.items():
-            if not k:
-                continue  # bracket with the unit class vanishes
-            for k2, c2 in necklace_bracket(spec, w, k).items():
-                out[k2] = out.get(k2, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
-
-    def nb_ext_left(m: Dict[Word, Scalar], w: Word) -> Dict[Word, Scalar]:
-        out: Dict[Word, Scalar] = {}
-        for k, c in m.items():
-            if not k:
-                continue
-            for k2, c2 in necklace_bracket(spec, k, w).items():
-                out[k2] = out.get(k2, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
+    def nb_ext(w: Word, m: Dict[Word, Scalar], w_first: bool = True) -> Dict[Word, Scalar]:
+        """The necklace bracket of class w with m, w in the first slot or
+        the second; the bracket with the unit class vanishes."""
+        return add_into({}, (
+            (k2, c * c2)
+            for k, c in m.items() if k
+            for k2, c2 in (necklace_bracket(spec, w, k) if w_first
+                           else necklace_bracket(spec, k, w)).items()
+        ))
 
     for a, b, c in itertools.product(classes, classes, classes):
-        lhs = nb_ext(a, necklace_bracket(spec, b, c))
-        rhs = nb_ext_left(necklace_bracket(spec, a, b), c)
+        lhs = _clean(nb_ext(a, necklace_bracket(spec, b, c)))
+        rhs = nb_ext(c, necklace_bracket(spec, a, b), w_first=False)
         s = sign_exp(r + alg.degree(a), r + alg.degree(b))
-        for k, v in nb_ext(b, necklace_bracket(spec, a, c)).items():
-            rhs[k] = rhs.get(k, 0) + s * v
-        rhs = {k: v for k, v in rhs.items() if v}
+        rhs = _clean(add_into(rhs, (
+            (k, s * v) for k, v in nb_ext(b, necklace_bracket(spec, a, c)).items())))
         if lhs != rhs:
-            diff = dict(lhs)
-            for k, v in rhs.items():
-                diff[k] = diff.get(k, 0) - v
-            diff = {k: v for k, v in diff.items() if v}
+            diff = _clean(add_into(dict(lhs), ((k, -v) for k, v in rhs.items())))
             rep.add(
                 "necklace-jacobi",
                 False,

@@ -26,6 +26,7 @@ from .core import (
     Tensor2,
     Tensor3,
     Word,
+    add_into,
     sign_exp,
 )
 from .brackets import (
@@ -63,21 +64,25 @@ class OmegaPresentation:
         self.form_of = {i: n + i for i in range(n)}
 
 
+def _d_words(omega: OmegaPresentation, w: Word):
+    """The words of d(w): each letter of w in turn replaced by its form
+    generator."""
+    alg = omega.bimodule.ambient
+    for j, letter in enumerate(w):
+        if alg.is_module(letter):
+            raise ValueError(f"not a base word: {alg.render_word(w)}")
+        yield w[:j] + (omega.form_of[letter],) + w[j + 1:]
+
+
 def universal_derivation(omega: OmegaPresentation, x: Union[NCPoly, Word]) -> NCPoly:
     """d(w) replaces each letter of w by its form generator in turn."""
-    alg = omega.bimodule.ambient
     if isinstance(x, NCPoly):
         items = x.terms.items()
     else:
         items = [(tuple(x), 1)]
-    out: dict = {}
-    for w, c in items:
-        for j, letter in enumerate(w):
-            if alg.is_module(letter):
-                raise ValueError(f"not a base word: {alg.render_word(w)}")
-            key = w[:j] + (omega.form_of[letter],) + w[j + 1:]
-            out[key] = out.get(key, 0) + c
-    return NCPoly(alg, out)
+    return NCPoly(omega.bimodule.ambient, add_into({}, (
+        (dw, c) for w, c in items for dw in _d_words(omega, w)
+    )))
 
 
 def lift_derivation(omega: OmegaPresentation, h: Dict,
@@ -92,14 +97,13 @@ def lift_derivation(omega: OmegaPresentation, h: Dict,
     """
     alg = omega.bimodule.ambient
     table: dict = {}
-    kinds = set()
     for key, val in h.items():
         i = alg.index(key) if isinstance(key, str) else key
-        kinds.add(type(val).__name__)
         table[omega.form_of[i]] = val
+    kinds = {isinstance(val, Tensor2) for val in h.values()}
     if len(kinds) > 1:
         raise ValueError("mixed value kinds in derivation table")
-    tensor_valued = kinds == {"Tensor2"}
+    tensor_valued = kinds == {True}
 
     def contract(p: NCPoly):
         if p.algebra != alg:
@@ -117,31 +121,21 @@ def lift_derivation(omega: OmegaPresentation, h: Dict,
             if val is None:
                 continue
             if tensor_valued:
-                s = sign_exp(source_degree, alg.degree(pre))
-                for (t1, t2), c2 in val.terms.items():
-                    key = (pre + t1, t2 + post)
-                    out[key] = out.get(key, 0) + s * c * c2
+                s = sign_exp(source_degree, alg.degree(pre)) * c
+                add_into(out, (((pre + t1, t2 + post), s * c2)
+                               for (t1, t2), c2 in val.terms.items()))
             else:
-                for wv, c2 in val.terms.items():
-                    key = pre + wv + post
-                    out[key] = out.get(key, 0) + c * c2
-        if tensor_valued:
-            return Tensor2(alg, out)
-        return NCPoly(alg, out)
+                add_into(out, ((pre + wv + post, c * c2) for wv, c2 in val.terms.items()))
+        return (Tensor2 if tensor_valued else NCPoly)(alg, out)
 
     return contract
 
 
 def _legwise_d(omega: OmegaPresentation, t: Tensor2, leg: int) -> Tensor2:
-    alg = omega.bimodule.ambient
-    out: dict = {}
-    for (u, v), c in t.terms.items():
-        w = (u, v)[leg]
-        for j, letter in enumerate(w):
-            dw = w[:j] + (omega.form_of[letter],) + w[j + 1:]
-            key = (dw, v) if leg == 0 else (u, dw)
-            out[key] = out.get(key, 0) + c
-    return Tensor2(alg, out)
+    return Tensor2(omega.bimodule.ambient, add_into({}, (
+        ((dw, v) if leg == 0 else (u, dw), c)
+        for (u, v), c in t.terms.items() for dw in _d_words(omega, (u, v)[leg])
+    )))
 
 
 def koszul_bracket(spec: BracketSpec, verify_len: int = 2) -> DLRData:
@@ -173,9 +167,7 @@ def koszul_bracket(spec: BracketSpec, verify_len: int = 2) -> DLRData:
             r = _legwise_d(omega, lifted, 1)
             if l or r:
                 mbracket[(omega.form_of[i], omega.form_of[j])] = (l, r)
-    data = DLRData(omega.bimodule, spec.shift, anchor, mbracket)
-    data.omega = omega
-    return data
+    return DLRData(omega.bimodule, spec.shift, anchor, mbracket)
 
 
 def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
@@ -184,11 +176,9 @@ def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
     differentials, on all base word pairs."""
     if data is None:
         data = koszul_bracket(spec)
-    omega = getattr(data, "omega", None)
-    if omega is None:
-        omega = OmegaPresentation(spec.algebra)
-        if omega.bimodule != data.bimodule:
-            raise ValueError("data does not present the forms of this algebra")
+    omega = OmegaPresentation(spec.algebra)
+    if omega.bimodule != data.bimodule:
+        raise ValueError("data does not present the forms of this algebra")
     amb = omega.bimodule.ambient
     rep = CheckReport("koszul-square", max_len)
     words = list(spec.algebra.words_up_to(max_len))
@@ -201,8 +191,8 @@ def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
         for w1, c1 in du.terms.items():
             for w2, c2 in dv.terms.items():
                 L, R = data.mb_eval(w1, w2)
-                for key, c in itertools.chain(L.terms.items(), R.terms.items()):
-                    acc[key] = acc.get(key, 0) + c1 * c2 * c
+                add_into(acc, ((key, c1 * c2 * c) for key, c in
+                               itertools.chain(L.terms.items(), R.terms.items())))
         diff = lhs - Tensor2(amb, acc)
         if diff:
             rep.add(
@@ -237,14 +227,10 @@ def double_partial(der: DerPresentation, i: int, w: Word) -> Tensor2:
     """Two-sided partial with respect to base generator i."""
     alg = der.bimodule.ambient
     dD = alg.gens[der.der_of[i]].degree
-    terms: dict = {}
-    for j, letter in enumerate(w):
-        if letter != i:
-            continue
-        key = (w[:j], w[j + 1:])
-        s = sign_exp(dD, alg.degree(w[:j]))
-        terms[key] = terms.get(key, 0) + s
-    return Tensor2(alg, terms)
+    return Tensor2(alg, add_into({}, (
+        ((w[:j], w[j + 1:]), sign_exp(dD, alg.degree(w[:j])))
+        for j, letter in enumerate(w) if letter == i
+    )))
 
 
 def ev_pairing(der: DerPresentation, xi, w) -> Tensor2:
@@ -266,10 +252,9 @@ def ev_pairing(der: DerPresentation, xi, w) -> Tensor2:
         i = der.base_of[D]
         dq = alg.degree(q)
         for ww, cw in w_items:
-            s0 = sign_exp(dq, alg.degree(ww))
-            for (t1, t2), c in double_partial(der, i, ww).terms.items():
-                key = (p + t1, t2 + q)
-                out[key] = out.get(key, 0) + s0 * cx * cw * c
+            s0 = sign_exp(dq, alg.degree(ww)) * cx * cw
+            add_into(out, (((p + t1, t2 + q), s0 * c)
+                           for (t1, t2), c in double_partial(der, i, ww).terms.items()))
     return Tensor2(alg, out)
 
 
@@ -281,21 +266,14 @@ def phi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Ten
     dth, det = deg(theta), deg(eta)
     raw: dict = {}
     for (u, v), c in ev_pairing(der, eta, wa).terms.items():
-        for (s1, t1), c2 in ev_pairing(der, theta, u).terms.items():
-            key = (s1, t1, v)
-            raw[key] = raw.get(key, 0) + c * c2
+        add_into(raw, (((s1, t1, v), c * c2)
+                       for (s1, t1), c2 in ev_pairing(der, theta, u).terms.items()))
     s0 = -sign_exp(dth, det)
     for (u, v), c in ev_pairing(der, theta, wa).terms.items():
-        se = s0 * sign_exp(det, deg(u))
-        for (s1, t1), c2 in ev_pairing(der, eta, v).terms.items():
-            key = (u, s1, t1)
-            raw[key] = raw.get(key, 0) + se * c * c2
-    out: dict = {}
-    for (a, b, c3), coef in raw.items():
-        s = sign_exp(deg(b), deg(c3))
-        key = (a, c3, b)
-        out[key] = out.get(key, 0) + s * coef
-    return Tensor3(alg, out)
+        se = s0 * sign_exp(det, deg(u)) * c
+        add_into(raw, (((u, s1, t1), se * c2)
+                       for (s1, t1), c2 in ev_pairing(der, eta, v).terms.items()))
+    return Tensor3(alg, raw).permute((0, 2, 1))
 
 
 def psi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Tensor3:
@@ -305,21 +283,14 @@ def psi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Ten
     dth, det = deg(theta), deg(eta)
     raw: dict = {}
     for (w1, w2), c in ev_pairing(der, eta, wa).terms.items():
-        s = sign_exp(dth, deg(w1))
-        for (s1, t1), c2 in ev_pairing(der, theta, w2).terms.items():
-            key = (w1, s1, t1)
-            raw[key] = raw.get(key, 0) + s * c * c2
+        s = sign_exp(dth, deg(w1)) * c
+        add_into(raw, (((w1, s1, t1), s * c2)
+                       for (s1, t1), c2 in ev_pairing(der, theta, w2).terms.items()))
     s0 = -sign_exp(dth, det)
     for (u, v), c in ev_pairing(der, theta, wa).terms.items():
-        for (s1, t1), c2 in ev_pairing(der, eta, u).terms.items():
-            key = (s1, t1, v)
-            raw[key] = raw.get(key, 0) + s0 * c * c2
-    out: dict = {}
-    for (a, b, c3), coef in raw.items():
-        s = sign_exp(deg(a), deg(b))
-        key = (b, a, c3)
-        out[key] = out.get(key, 0) + s * coef
-    return Tensor3(alg, out)
+        add_into(raw, (((s1, t1, v), s0 * c * c2)
+                       for (s1, t1), c2 in ev_pairing(der, eta, u).terms.items()))
+    return Tensor3(alg, raw).permute((1, 0, 2))
 
 
 def sn_bracket(base: FreeAlgebra, shift: ShiftContext = ShiftContext(0)) -> BracketSpec:
@@ -353,6 +324,4 @@ def sn_bracket(base: FreeAlgebra, shift: ShiftContext = ShiftContext(0)) -> Brac
             val = ev_pairing(der, (der.der_of[i],), (j,))
             if val:
                 table[(der.der_of[i], j)] = val
-    spec = BracketSpec(alg, shift, table)
-    spec.der = der
-    return spec
+    return BracketSpec(alg, shift, table)

@@ -14,17 +14,15 @@ import json
 import sys
 import time
 
-from .core import ShiftContext
 from .brackets import (
     BracketSpec,
     double_jacobiator,
-    extend_bracket,
     leibniz_bracket,
     necklace_bracket,
     render_cyclic,
     run_bracket_checks,
 )
-from .calculus import koszul_bracket, sn_bracket
+from .calculus import DerPresentation, koszul_bracket, sn_bracket
 from .dlr import dlr_check
 from .shifting import shift_dlr, verify_shift_equivalence
 from .textio import Document, DocumentError, format_document, parse_document
@@ -179,13 +177,13 @@ def _cmd_sn(args) -> int:
     alg, shift = doc.algebras[args.algebra]
     try:
         spec = sn_bracket(alg, shift)
-    except RuntimeError as e:
+    except (RuntimeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out = Document()
     out.add_algebra(args.algebra, alg, shift)
     der_name = f"der_{args.algebra}"
-    out.add_bimodule(der_name, spec.der.bimodule, args.algebra)
+    out.add_bimodule(der_name, DerPresentation(alg, shift).bimodule, args.algebra)
     out.add_bracket(f"sn_{args.algebra}", spec, der_name)
     _write_doc(out, args.output)
     return 0

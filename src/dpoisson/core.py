@@ -3,8 +3,15 @@
 Scalars are exact: a coefficient is stored as an `int` when it is integral
 and as a `fractions.Fraction` otherwise; nothing in this package ever
 touches floating point.  A word is a tuple of generator indices into a fixed
-`FreeAlgebra`; the empty tuple is the unit.  Polynomials and tensors are
-sparse maps from words (or leg tuples) to nonzero coefficients.
+`FreeAlgebra`; the empty tuple is the unit.
+
+Polynomials and tensors are one exact sparse class, `Sparse`: a map from
+words (one leg) or tuples of words (two or more legs) to nonzero
+coefficients, with the shared arithmetic, degree and rendering.  The
+public types only fix the number of legs: `NCPoly` (1, with the
+concatenation product), `Tensor2` (2) and `Tensor3` (3).  Every signed move
+of tensor legs (the swap tau, the rotations of the double Jacobi identity)
+is one call of `Sparse.permute`.
 
 Every graded sign in the package is produced by `koszul_sign` / `sign_exp`:
 moving material of total degree d1 past material of total degree d2 costs
@@ -15,7 +22,10 @@ of degree r when it moves.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+import itertools
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -199,48 +209,104 @@ def _require_same(a: FreeAlgebra, b: FreeAlgebra):
         raise ValueError("incompatible algebras")
 
 
-class NCPoly:
-    """Sparse noncommutative polynomial: finite map word -> nonzero exact
-    scalar (an int when integral, a Fraction otherwise)."""
+def add_into(out: dict, pairs: Iterable) -> dict:
+    """Accumulate (key, coefficient) pairs into out and return it."""
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation_plan(order: tuple) -> tuple:
+    """Key picker and crossed leg pairs of a leg permutation: input legs
+    i < j cross when leg j is placed before leg i."""
+    pos = {leg: k for k, leg in enumerate(order)}
+    crossed = tuple((i, j) for i, j in itertools.combinations(range(len(order)), 2)
+                    if pos[i] > pos[j])
+    return operator.itemgetter(*order), crossed
+
+
+class Sparse:
+    """Exact sparse element of a tensor power of the word space of one
+    algebra: a finite map key -> nonzero scalar (an int when integral, a
+    Fraction otherwise).  A key is a word when `legs` is 1 and a tuple of
+    `legs` words otherwise.  Subclasses fix `legs`."""
 
     __slots__ = ("algebra", "terms")
+    legs = 0
 
-    def __init__(self, algebra: FreeAlgebra, terms: Mapping[Word, Scalar]):
+    def __init__(self, algebra: FreeAlgebra, terms: Mapping):
         self.algebra = algebra
         self.terms = _clean(terms)
+
+    def _new(self, terms: Mapping):
+        return type(self)(self.algebra, terms)
+
+    def _leg_words(self, k) -> tuple:
+        return (k,) if self.legs == 1 else k
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return (
-            isinstance(other, NCPoly)
+            type(other) is type(self)
             and self.algebra == other.algebra
             and self.terms == other.terms
         )
 
     def __repr__(self):
-        return f"NCPoly({self.render()})"
+        return f"{type(self).__name__}({self.render()})"
 
     def render(self) -> str:
-        return render_terms(self.algebra, self.terms, legs=1)
+        return render_terms(self.algebra, self.terms, legs=self.legs)
 
-    def __add__(self, other: "NCPoly") -> "NCPoly":
+    def __add__(self, other):
         _require_same(self.algebra, other.algebra)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NCPoly(self.algebra, out)
+        return self._new(add_into(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.algebra, {w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
 
-    def scale(self, c: Scalar) -> "NCPoly":
+    def scale(self, c: Scalar):
         c = exact_scalar(c)
-        return NCPoly(self.algebra, {w: c * v for w, v in self.terms.items()})
+        return self._new({k: c * v for k, v in self.terms.items()})
+
+    def degrees(self) -> set:
+        deg = self.algebra.degree
+        return {sum(map(deg, self._leg_words(k))) for k in self.terms}
+
+    def is_homogeneous_of(self, d: int) -> bool:
+        return self.degrees() <= {d}
+
+    def leg_weights(self) -> set:
+        weight = self.algebra.weight
+        return {tuple(map(weight, self._leg_words(k))) for k in self.terms}
+
+    def permute(self, order: Sequence[int], c: Scalar = 1):
+        """Signed leg permutation times c, for two or more legs: output leg
+        i is input leg order[i], and each pair of legs that changes order
+        pays (-1)^(|leg||leg'|)."""
+        pick, crossed = _permutation_plan(tuple(order))
+        deg = self.algebra.degree
+        c = exact_scalar(c)
+        out = {}
+        for k, v in self.terms.items():
+            odd = 0
+            for i, j in crossed:
+                odd ^= deg(k[i]) & deg(k[j]) & 1
+            out[pick(k)] = -c * v if odd else c * v
+        return self._new(out)
+
+
+class NCPoly(Sparse):
+    """Sparse noncommutative polynomial: one leg, keyed by words."""
+
+    __slots__ = ()
+    legs = 1
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         return poly_mul(self, other)
@@ -249,122 +315,32 @@ class NCPoly:
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     """Concatenation product, extended bilinearly."""
     _require_same(a.algebra, b.algebra)
-    out: dict = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            w = w1 + w2
-            out[w] = out.get(w, 0) + c1 * c2
-    return NCPoly(a.algebra, out)
+    return NCPoly(a.algebra, add_into({}, (
+        (w1 + w2, c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()
+    )))
 
 
-class Tensor2:
+class Tensor2(Sparse):
     """Element of a two-fold tensor product of word spaces over one algebra."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: FreeAlgebra, terms: Mapping):
-        self.algebra = algebra
-        self.terms = _clean(terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor2)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"Tensor2({self.render()})"
-
-    def render(self) -> str:
-        return render_terms(self.algebra, self.terms, legs=2)
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        _require_same(self.algebra, other.algebra)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Tensor2(self.algebra, out)
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor2":
-        return Tensor2(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: Scalar) -> "Tensor2":
-        c = exact_scalar(c)
-        return Tensor2(self.algebra, {k: c * v for k, v in self.terms.items()})
-
-    def degrees(self) -> set:
-        alg = self.algebra
-        return {alg.degree(u) + alg.degree(v) for (u, v) in self.terms}
-
-    def is_homogeneous_of(self, d: int) -> bool:
-        return self.degrees() <= {d}
-
-    def leg_weights(self) -> set:
-        alg = self.algebra
-        return {(alg.weight(u), alg.weight(v)) for (u, v) in self.terms}
+    __slots__ = ()
+    legs = 2
 
 
-class Tensor3:
+class Tensor3(Sparse):
     """Element of a three-fold tensor product of word spaces over one algebra."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: FreeAlgebra, terms: Mapping):
-        self.algebra = algebra
-        self.terms = _clean(terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor3)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"Tensor3({self.render()})"
-
-    def render(self) -> str:
-        return render_terms(self.algebra, self.terms, legs=3)
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        _require_same(self.algebra, other.algebra)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Tensor3(self.algebra, out)
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: Scalar) -> "Tensor3":
-        c = exact_scalar(c)
-        return Tensor3(self.algebra, {k: c * v for k, v in self.terms.items()})
+    __slots__ = ()
+    legs = 3
 
 
 def tensor2(algebra: FreeAlgebra, *entries) -> Tensor2:
     """Convenience constructor: tensor2(alg, ("x", "1"), ("1", "x", -1))."""
-    terms: dict = {}
-    for e in entries:
-        if len(e) == 2:
-            (t1, t2), c = e, 1
-        else:
-            t1, t2, c = e
-        k = (algebra.word(t1), algebra.word(t2))
-        terms[k] = terms.get(k, 0) + exact_scalar(c)
-    return Tensor2(algebra, terms)
+
+    def term(t1, t2, c=1):
+        return (algebra.word(t1), algebra.word(t2)), exact_scalar(c)
+
+    return Tensor2(algebra, add_into({}, (term(*e) for e in entries)))
 
 
 def render_terms(algebra: FreeAlgebra, terms: Mapping, legs: int) -> str:
@@ -397,50 +373,29 @@ def render_terms(algebra: FreeAlgebra, terms: Mapping, legs: int) -> str:
     return out
 
 
-def cyclic_normalize(algebra: FreeAlgebra, w: Word) -> tuple:
+def cyclic_class(algebra: FreeAlgebra, w: Word) -> Optional[tuple]:
     """Canonical representative of a cyclic word, with the rotation sign.
 
     Successively moves the last letter to the front; each single rotation
     costs (-1)^(|last| * |rest|).  Returns ``(canonical_word, sign)`` where
     the canonical word is the lexicographically least rotation (declaration
-    order) reached the earliest.  The unit has no cyclic class.
+    order) and the sign is the one it is first reached with.  If some
+    rotation fixes a word with the opposite sign the class is 2-torsion,
+    hence zero over Q, and None is returned.  The unit has no cyclic class.
     """
-    if not w:
-        raise ValueError("unit has no cyclic class")
-    deg = algebra.degree
-    rotations = []
-    cur, sign = w, 1
-    for _ in range(len(w)):
-        rotations.append((cur, sign))
-        last = cur[-1]
-        rest = cur[:-1]
-        sign *= sign_exp(deg((last,)), deg(rest))
-        cur = (last,) + rest
-    best = min(r for r, _ in rotations)
-    for r, s in rotations:
-        if r == best:
-            return best, s
-    raise AssertionError("unreachable")
-
-
-def cyclic_class(algebra: FreeAlgebra, w: Word) -> Optional[tuple]:
-    """Like `cyclic_normalize` but detects classes killed by their own
-    rotation signs: if some rotation fixes the canonical word with sign -1
-    the class is 2-torsion, hence zero over Q, and None is returned."""
     if not w:
         raise ValueError("unit has no cyclic class")
     deg = algebra.degree
     seen: dict = {}
     cur, sign = w, 1
     for _ in range(len(w)):
-        if cur in seen and seen[cur] != sign:
+        if seen.setdefault(cur, sign) != sign:
             return None
-        seen.setdefault(cur, sign)
         last = cur[-1]
         rest = cur[:-1]
         sign *= sign_exp(deg((last,)), deg(rest))
         cur = (last,) + rest
-    if sign != 1 and w in seen and seen[w] != sign:
+    if sign != 1:
         return None
     best = min(seen)
     return best, seen[best]

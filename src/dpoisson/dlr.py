@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .core import (
     Colour,
@@ -131,6 +131,7 @@ class DLRData:
             self.mbracket[(i, j)] = (l, r)
         self._validate()
         self._anchor_cache: dict = {}
+        self._rho_tau_cache: dict = {}
         self._mb_cache: dict = {}
 
     def _validate(self):
@@ -219,16 +220,14 @@ class DLRData:
         return out
 
     def rho_tau(self, wa: Word, wm: Word) -> Tensor2:
-        """Swapped anchor -tau rho tau, computed on demand."""
-        alg, r = self.bimodule.ambient, self.shift.r
-        deg = alg.degree
-        s0 = -sign_exp(r + deg(wa), r + deg(wm))
-        terms: dict = {}
-        for (t1, t2), c in self.anchor_eval(wm, wa).terms.items():
-            s = s0 * sign_exp(deg(t1), deg(t2))
-            key = (t2, t1)
-            terms[key] = terms.get(key, 0) + s * c
-        return Tensor2(alg, terms)
+        """Swapped anchor -tau rho tau, memoised like the anchor."""
+        key = (wa, wm)
+        hit = self._rho_tau_cache.get(key)
+        if hit is None:
+            deg, r = self.bimodule.ambient.degree, self.shift.r
+            hit = self._rho_tau_cache[key] = self.anchor_eval(wm, wa).permute(
+                (1, 0), -sign_exp(r + deg(wa), r + deg(wm)))
+        return hit
 
     # -- module bracket extension ----------------------------------------
 
@@ -247,19 +246,9 @@ class DLRData:
                  d_second: int) -> Tuple[Tensor2, Tensor2]:
         """{{m,n}} from {{n,m}}: swap the components and their legs, with
         the antisymmetry sign."""
-        alg, r = self.bimodule.ambient, self.shift.r
-        deg = alg.degree
         L, R = pair
-        s0 = -sign_exp(r + d_first, r + d_second)
-        lt: dict = {}
-        for (p, q), c in R.terms.items():
-            s = s0 * sign_exp(deg(p), deg(q))
-            lt[(q, p)] = lt.get((q, p), 0) + s * c
-        rt: dict = {}
-        for (u, v), c in L.terms.items():
-            s = s0 * sign_exp(deg(u), deg(v))
-            rt[(v, u)] = rt.get((v, u), 0) + s * c
-        return (Tensor2(alg, lt), Tensor2(alg, rt))
+        s = -sign_exp(self.shift.r + d_first, self.shift.r + d_second)
+        return (R.permute((1, 0), s), L.permute((1, 0), s))
 
     def mb_eval(self, w1: Word, w2: Word) -> Tuple[Tensor2, Tensor2]:
         """{{w1, w2}} for weight-one words, as its (l, r) components."""

@@ -38,6 +38,7 @@ from .core import (
     Generator,
     ShiftContext,
     Tensor2,
+    add_into,
     render_terms,
 )
 from .brackets import BracketSpec
@@ -244,7 +245,7 @@ class _Parser:
         return tuple(letters)
 
     def tensor2_value(self, alg: FreeAlgebra) -> Tensor2:
-        terms: dict = {}
+        terms = []
         sign = 1
         if self.peek().kind in ("+", "-"):
             sign = -1 if self.advance().kind == "-" else 1
@@ -263,13 +264,12 @@ class _Parser:
             w1 = self.word(alg)
             self.expect("(*)")
             w2 = self.word(alg)
-            key = (w1, w2)
-            terms[key] = terms.get(key, 0) + coeff
+            terms.append(((w1, w2), coeff))
             if self.peek().kind in ("+", "-"):
                 sign = -1 if self.advance().kind == "-" else 1
                 continue
             break
-        return Tensor2(alg, terms)
+        return Tensor2(alg, add_into({}, terms))
 
     def rules(self, alg: FreeAlgebra):
         """Bracket-style rules up to the closing brace; yields position

@@ -182,6 +182,22 @@ def test_koszul_guard_exits_one(capsys, tmp_path):
     assert "input is not double Poisson" in err
 
 
+@pytest.mark.parametrize("command, gen", [("koszul", "dx"), ("sn", "Dx")])
+def test_generator_name_collision_exits_one(capsys, tmp_path, command, gen):
+    # the form / derivation generator of x would be named like a given one
+    doc = tmp_path / "clash.dbr"
+    doc.write_text(
+        f"algebra A {{\n  shift = 0\n  gens = [ x:0, {gen}:0 ]\n}}\n\n"
+        f"bracket B on A {{\n  [x, {gen}] = 1 (*) 1\n}}\n"
+    )
+    target = ["--bracket", "B"] if command == "koszul" else ["--algebra", "A"]
+    code, out, err = run(capsys, command, doc, *target, "-o", tmp_path / "out.dbr")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: generator name collision: '{gen}'\n"
+    assert not (tmp_path / "out.dbr").exists()
+
+
 def test_sn_output_reparses(capsys, tmp_path):
     out_path = tmp_path / "sn.dbr"
     code, _, _ = run(capsys, "sn", FIXDIR / "f1.dbr", "--algebra", "A", "-o", out_path)
