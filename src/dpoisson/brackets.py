@@ -36,6 +36,7 @@ from .core import (
     _clean,
     add_into,
     cyclic_class,
+    render_terms,
     sign_exp,
 )
 from .reports import CheckReport
@@ -172,36 +173,27 @@ class BracketSpec:
         return Tensor2(alg, terms)
 
 
-def extend_bracket(spec: BracketSpec, a: NCPoly, b: NCPoly, order: str = "left") -> Tensor2:
+def extend_bracket(spec: BracketSpec, a: NCPoly, b: NCPoly) -> Tensor2:
     """Bilinear extension of the generator table by the derivation rules."""
     if a.algebra != spec.algebra or b.algebra != spec.algebra:
         raise ValueError("incompatible algebras")
     out = Tensor2(spec.algebra, {})
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            out = out + spec.eval_words(w1, w2, order).scale(c1 * c2)
+            out = out + spec.eval_words(w1, w2).scale(c1 * c2)
     return out
 
 
-def _require_homogeneous(x: NCPoly, what: str) -> int:
-    if not x:
-        return 0
-    degs = {x.algebra.degree(w) for w in x.terms}
-    if len(degs) != 1:
-        raise ValueError(f"inhomogeneous {what} (Koszul signs undefined)")
-    return degs.pop()
-
-
 def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
-                      order: str, memo: Optional[dict] = None) -> dict:
+                      memo: Optional[dict] = None) -> dict:
     """Raw terms of {{wa, {{wb,wc}}'}} (x) {{wb,wc}}'' in legs (1,2) (x) 3."""
     if memo is not None:
         hit = memo.get((wa, wb, wc))
         if hit is not None:
             return hit
     out: dict = {}
-    for (y1, y2), cy in spec.eval_words(wb, wc, order).terms.items():
-        for (p1, p2), cp in spec.eval_words(wa, y1, order).terms.items():
+    for (y1, y2), cy in spec.eval_words(wb, wc).terms.items():
+        for (p1, p2), cp in spec.eval_words(wa, y1).terms.items():
             key = (p1, p2, y2)
             out[key] = out.get(key, 0) + cy * cp
     if memo is not None:
@@ -210,28 +202,27 @@ def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
 
 
 def _dj_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
-              order: str = "left", memo: Optional[dict] = None) -> Tensor3:
+              memo: Optional[dict] = None) -> Tensor3:
     alg, r = spec.algebra, spec.shift.r
     deg = alg.degree
     da, db, dc = deg(wa), deg(wb), deg(wc)
     out: dict = {}
-    for key, c in _first_term_words(spec, wa, wb, wc, order, memo).items():
+    for key, c in _first_term_words(spec, wa, wb, wc, memo).items():
         out[key] = out.get(key, 0) + c
     s2 = sign_exp((da + r) + (db + r), dc + r)
-    for (p1, p2, p3), c in _first_term_words(spec, wc, wa, wb, order, memo).items():
+    for (p1, p2, p3), c in _first_term_words(spec, wc, wa, wb, memo).items():
         s = s2 * sign_exp(deg(p1), deg(p2) + deg(p3))
         key = (p2, p3, p1)
         out[key] = out.get(key, 0) + s * c
     s3 = sign_exp(da + r, (db + r) + (dc + r))
-    for (p1, p2, p3), c in _first_term_words(spec, wb, wc, wa, order, memo).items():
+    for (p1, p2, p3), c in _first_term_words(spec, wb, wc, wa, memo).items():
         s = s3 * sign_exp(deg(p1) + deg(p2), deg(p3))
         key = (p3, p1, p2)
         out[key] = out.get(key, 0) + s * c
     return Tensor3(alg, out)
 
 
-def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly,
-                      order: str = "left") -> Tensor3:
+def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
     """Three-term cyclic sum whose vanishing is the double Jacobi identity.
 
     Input rotations move whole shifted slots (degree |x|+r); output leg
@@ -240,14 +231,14 @@ def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly,
     for x in (a, b, c):
         if x.algebra != spec.algebra:
             raise ValueError("incompatible algebras")
-    _require_homogeneous(a, "input")
-    _require_homogeneous(b, "input")
-    _require_homogeneous(c, "input")
+    for x in (a, b, c):
+        if len(x.degrees()) > 1:
+            raise ValueError("inhomogeneous input (Koszul signs undefined)")
     out = Tensor3(spec.algebra, {})
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             for wc, cc in c.terms.items():
-                out = out + _dj_words(spec, wa, wb, wc, order).scale(ca * cb * cc)
+                out = out + _dj_words(spec, wa, wb, wc).scale(ca * cb * cc)
     return out
 
 
@@ -295,20 +286,8 @@ def project_cyclic(alg: FreeAlgebra, p: NCPoly) -> Dict[Word, Scalar]:
 
 
 def render_cyclic(alg: FreeAlgebra, m: Dict[Word, Scalar]) -> str:
-    if not m:
-        return "0"
-    pieces = []
-    for w in sorted(m, key=lambda w: (len(w), w)):
-        c = m[w]
-        body = f"[{alg.render_word(w)}]"
-        if abs(c) != 1:
-            body = f"{abs(c)} * {body}"
-        pieces.append(("-" if c < 0 else "+", body))
-    s0, b0 = pieces[0]
-    out = b0 if s0 == "+" else "- " + b0
-    for s, b in pieces[1:]:
-        out += f" {s} {b}"
-    return out
+    """A map cyclic class -> coefficient, each class rendered as ``[w]``."""
+    return render_terms(alg, m, legs=1, cyclic=True)
 
 
 # -- axiom checks --------------------------------------------------------
@@ -321,46 +300,37 @@ def _word_pairs(alg: FreeAlgebra, max_len: int):
 
 def check_antisymmetry(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     alg, r = spec.algebra, spec.shift.r
-    rep = CheckReport("antisymmetry", max_len)
-    for w1, w2 in _word_pairs(alg, max_len):
-        d1, d2 = alg.degree(w1), alg.degree(w2)
-        res = spec.eval_words(w1, w2) + spec.eval_words(w2, w1).permute(
-            (1, 0), sign_exp(r + d1, r + d2)
-        )
-        if res:
-            rep.add(
-                "antisymmetry",
-                False,
-                witness=f"({alg.render_word(w1)}, {alg.render_word(w2)})",
-                residual=res.render(),
+
+    def failures():
+        for w1, w2 in _word_pairs(alg, max_len):
+            d1, d2 = alg.degree(w1), alg.degree(w2)
+            res = spec.eval_words(w1, w2) + spec.eval_words(w2, w1).permute(
+                (1, 0), sign_exp(r + d1, r + d2)
             )
-            return rep
-    rep.add("antisymmetry", True)
-    return rep
+            if res:
+                yield alg.render_words(w1, w2), res.render()
+
+    return CheckReport("antisymmetry", max_len).first_failure("antisymmetry", failures())
 
 
 def check_extension_order(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     """First-slot-first and second-slot-first expansions must agree; this is
     the computable content of deriving the right rule from antisymmetry."""
     alg = spec.algebra
-    rep = CheckReport("extension-order", max_len)
-    for w1, w2 in _word_pairs(alg, max_len):
-        diff = spec.eval_words(w1, w2, "left") - spec.eval_words(w1, w2, "right")
-        if diff:
-            rep.add(
-                "extension-order",
-                False,
-                witness=f"({alg.render_word(w1)}, {alg.render_word(w2)})",
-                residual=diff.render(),
-            )
-            return rep
-    rep.add("extension-order", True)
-    return rep
+
+    def failures():
+        for w1, w2 in _word_pairs(alg, max_len):
+            diff = spec.eval_words(w1, w2, "left") - spec.eval_words(w1, w2, "right")
+            if diff:
+                yield alg.render_words(w1, w2), diff.render()
+
+    return CheckReport("extension-order", max_len).first_failure("extension-order", failures())
 
 
 def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
+    """Double Jacobi on word triples, then the cyclic stability of the
+    jacobiator; unlike the other checks it evaluates every triple."""
     alg, r = spec.algebra, spec.shift.r
-    rep = CheckReport("double-jacobi", max_len)
     words = list(alg.words_up_to(max_len))
     # the F-term memo holds up to one entry per word triple.  Median of 5
     # runs (2-CPU Xeon VM, Python 3.11), time and peak RSS of the process:
@@ -369,55 +339,38 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     # 2 (43 words) 0.36 s / 31.8 MiB with it, 0.34 s / 17.6 MiB without.
     # Past 64 000 entries it costs memory and saves no time.
     memo: Optional[dict] = {} if len(words) ** 3 <= 64_000 else None
+    # nonzero jacobiators in enumeration order, so the first is the witness
     nonzero: dict = {}
-    fail = None
     for w1, w2, w3 in itertools.product(words, words, words):
         val = _dj_words(spec, w1, w2, w3, memo=memo)
         if val:
             nonzero[(w1, w2, w3)] = val
-            if fail is None:
-                fail = (w1, w2, w3, val)
-    if fail is None:
-        rep.add("double-jacobi", True)
-    else:
-        w1, w2, w3, val = fail
-        rep.add(
-            "double-jacobi",
-            False,
-            witness=f"({alg.render_word(w1)}, {alg.render_word(w2)}, {alg.render_word(w3)})",
-            residual=val.render(),
-        )
+    rep = CheckReport("double-jacobi", max_len)
+    rep.first_failure("double-jacobi", (
+        (alg.render_words(*t), val.render()) for t, val in nonzero.items()))
+
     # the jacobiator must be fixed by the signed cyclic rotation of inputs
     # and output legs simultaneously (output legs are bare algebra factors,
     # so their rotation pays no shift); zero triples only need a look when
     # a rotation pairs them with a nonzero one
-    empty = Tensor3(alg, {})
-    to_check = set(nonzero)
-    to_check.update((t[1], t[2], t[0]) for t in nonzero)
-    stable = True
-    for w1, w2, w3 in to_check:
-        val = nonzero.get((w1, w2, w3), empty)
-        d1, d2, d3 = alg.degree(w1), alg.degree(w2), alg.degree(w3)
-        s_in = sign_exp((d1 + r) + (d2 + r), d3 + r)
-        other = nonzero.get((w3, w1, w2), empty).permute((1, 2, 0), s_in)
-        if val != other:
-            rep.add(
-                "jacobi-cyclic-stability",
-                False,
-                witness=f"({alg.render_word(w1)}, {alg.render_word(w2)}, {alg.render_word(w3)})",
-                residual=(val - other).render(),
-            )
-            stable = False
-            break
-    if stable:
-        rep.add("jacobi-cyclic-stability", True)
-    return rep
+    def unstable():
+        empty = Tensor3(alg, {})
+        to_check = set(nonzero)
+        to_check.update((t[1], t[2], t[0]) for t in nonzero)
+        for w1, w2, w3 in to_check:
+            val = nonzero.get((w1, w2, w3), empty)
+            d1, d2, d3 = alg.degree(w1), alg.degree(w2), alg.degree(w3)
+            s_in = sign_exp((d1 + r) + (d2 + r), d3 + r)
+            other = nonzero.get((w3, w1, w2), empty).permute((1, 2, 0), s_in)
+            if val != other:
+                yield alg.render_words(w1, w2, w3), (val - other).render()
+
+    return rep.first_failure("jacobi-cyclic-stability", unstable())
 
 
 def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     """{a,{b,c}} = {{a,b},c} + (-1)^((r+|a|)(r+|b|)) {b,{a,c}} on words."""
     alg, r = spec.algebra, spec.shift.r
-    rep = CheckReport("left-leibniz", max_len)
     words = list(alg.words_up_to(max_len))
     lb_cache: dict = {}
 
@@ -445,58 +398,43 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
                 out[w] = out.get(w, 0) + c * c2
         return out
 
-    for w1, w2, w3 in itertools.product(words, words, words):
-        res = lb_wp(w1, lb(w2, w3))
-        for w, c in lb_pw(lb(w1, w2), w3).items():
-            res[w] = res.get(w, 0) - c
-        s = sign_exp(r + alg.degree(w1), r + alg.degree(w2))
-        for w, c in lb_wp(w2, lb(w1, w3)).items():
-            res[w] = res.get(w, 0) - s * c
-        res = {w: c for w, c in res.items() if c}
-        if res:
-            rep.add(
-                "left-leibniz",
-                False,
-                witness=f"({alg.render_word(w1)}, {alg.render_word(w2)}, {alg.render_word(w3)})",
-                residual=NCPoly(alg, res).render(),
-            )
-            return rep
-    rep.add("left-leibniz", True)
-    return rep
+    def failures():
+        for w1, w2, w3 in itertools.product(words, words, words):
+            res = lb_wp(w1, lb(w2, w3))
+            for w, c in lb_pw(lb(w1, w2), w3).items():
+                res[w] = res.get(w, 0) - c
+            s = sign_exp(r + alg.degree(w1), r + alg.degree(w2))
+            for w, c in lb_wp(w2, lb(w1, w3)).items():
+                res[w] = res.get(w, 0) - s * c
+            res = {w: c for w, c in res.items() if c}
+            if res:
+                yield alg.render_words(w1, w2, w3), NCPoly(alg, res).render()
+
+    return CheckReport("left-leibniz", max_len).first_failure("left-leibniz", failures())
 
 
 def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     alg, r = spec.algebra, spec.shift.r
-    rep = CheckReport("necklace", max_len)
     words = [w for w in alg.words_up_to(max_len) if w]
 
     # representative independence: one rotation step in either slot changes
     # the result by exactly the rotation sign
-    witness = None
-    for w1, w2 in itertools.product(words, words):
-        base = necklace_bracket(spec, w1, w2)
-        for slot, w in ((0, w1), (1, w2)):
-            if len(w) < 2:
-                continue
-            rot = (w[-1],) + w[:-1]
-            s = sign_exp(alg.degree((w[-1],)), alg.degree(w[:-1]))
-            got = necklace_bracket(spec, rot if slot == 0 else w1,
-                                   w2 if slot == 0 else rot)
-            scaled = {k: s * v for k, v in got.items()}
-            if scaled != base:
-                witness = (w1, w2, slot)
-                break
-        if witness:
-            break
-    if witness:
-        w1, w2, slot = witness
-        rep.add(
-            "necklace-representativity",
-            False,
-            witness=f"({alg.render_word(w1)}, {alg.render_word(w2)}) slot {slot + 1}",
-        )
-    else:
-        rep.add("necklace-representativity", True)
+    def misrepresented():
+        for w1, w2 in itertools.product(words, words):
+            base = necklace_bracket(spec, w1, w2)
+            for slot, w in ((0, w1), (1, w2)):
+                if len(w) < 2:
+                    continue
+                rot = (w[-1],) + w[:-1]
+                s = sign_exp(alg.degree((w[-1],)), alg.degree(w[:-1]))
+                got = necklace_bracket(spec, rot if slot == 0 else w1,
+                                       w2 if slot == 0 else rot)
+                scaled = {k: s * v for k, v in got.items()}
+                if scaled != base:
+                    yield f"{alg.render_words(w1, w2)} slot {slot + 1}", None
+
+    rep = CheckReport("necklace", max_len)
+    rep.first_failure("necklace-representativity", misrepresented())
 
     classes = []
     seen = set()
@@ -517,23 +455,19 @@ def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
                            else necklace_bracket(spec, k, w)).items()
         ))
 
-    for a, b, c in itertools.product(classes, classes, classes):
-        lhs = _clean(nb_ext(a, necklace_bracket(spec, b, c)))
-        rhs = nb_ext(c, necklace_bracket(spec, a, b), w_first=False)
-        s = sign_exp(r + alg.degree(a), r + alg.degree(b))
-        rhs = _clean(add_into(rhs, (
-            (k, s * v) for k, v in nb_ext(b, necklace_bracket(spec, a, c)).items())))
-        if lhs != rhs:
-            diff = _clean(add_into(dict(lhs), ((k, -v) for k, v in rhs.items())))
-            rep.add(
-                "necklace-jacobi",
-                False,
-                witness=f"([{alg.render_word(a)}], [{alg.render_word(b)}], [{alg.render_word(c)}])",
-                residual=render_cyclic(alg, diff),
-            )
-            return rep
-    rep.add("necklace-jacobi", True)
-    return rep
+    def failures():
+        for a, b, c in itertools.product(classes, classes, classes):
+            lhs = _clean(nb_ext(a, necklace_bracket(spec, b, c)))
+            rhs = nb_ext(c, necklace_bracket(spec, a, b), w_first=False)
+            s = sign_exp(r + alg.degree(a), r + alg.degree(b))
+            rhs = _clean(add_into(rhs, (
+                (k, s * v) for k, v in nb_ext(b, necklace_bracket(spec, a, c)).items())))
+            if lhs != rhs:
+                diff = _clean(add_into(dict(lhs), ((k, -v) for k, v in rhs.items())))
+                yield (f"([{alg.render_word(a)}], [{alg.render_word(b)}], [{alg.render_word(c)}])",
+                       render_cyclic(alg, diff))
+
+    return rep.first_failure("necklace-jacobi", failures())
 
 
 def run_bracket_checks(spec: BracketSpec, max_len: int = 3,

@@ -180,30 +180,25 @@ def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
     if omega.bimodule != data.bimodule:
         raise ValueError("data does not present the forms of this algebra")
     amb = omega.bimodule.ambient
-    rep = CheckReport("koszul-square", max_len)
     words = list(spec.algebra.words_up_to(max_len))
-    for u, v in itertools.product(words, words):
-        t = Tensor2(amb, dict(spec.eval_words(u, v).terms))
-        lhs = _legwise_d(omega, t, 0) + _legwise_d(omega, t, 1)
-        du = universal_derivation(omega, u)
-        dv = universal_derivation(omega, v)
-        acc: dict = {}
-        for w1, c1 in du.terms.items():
-            for w2, c2 in dv.terms.items():
-                L, R = data.mb_eval(w1, w2)
-                add_into(acc, ((key, c1 * c2 * c) for key, c in
-                               itertools.chain(L.terms.items(), R.terms.items())))
-        diff = lhs - Tensor2(amb, acc)
-        if diff:
-            rep.add(
-                "koszul-square",
-                False,
-                witness=f"({spec.algebra.render_word(u)}, {spec.algebra.render_word(v)})",
-                residual=diff.render(),
-            )
-            return rep
-    rep.add("koszul-square", True)
-    return rep
+
+    def failures():
+        for u, v in itertools.product(words, words):
+            t = Tensor2(amb, dict(spec.eval_words(u, v).terms))
+            lhs = _legwise_d(omega, t, 0) + _legwise_d(omega, t, 1)
+            du = universal_derivation(omega, u)
+            dv = universal_derivation(omega, v)
+            acc: dict = {}
+            for w1, c1 in du.terms.items():
+                for w2, c2 in dv.terms.items():
+                    L, R = data.mb_eval(w1, w2)
+                    add_into(acc, ((key, c1 * c2 * c) for key, c in
+                                   itertools.chain(L.terms.items(), R.terms.items())))
+            diff = lhs - Tensor2(amb, acc)
+            if diff:
+                yield spec.algebra.render_words(u, v), diff.render()
+
+    return CheckReport("koszul-square", max_len).first_failure("koszul-square", failures())
 
 
 class DerPresentation:

@@ -155,6 +155,10 @@ class FreeAlgebra:
             return "1"
         return ".".join(self.gens[i].name for i in w)
 
+    def render_words(self, *ws: Word) -> str:
+        """Words as a witness tuple, e.g. ``(x, y.x, 1)``."""
+        return "(" + ", ".join(map(self.render_word, ws)) + ")"
+
     def words_up_to(self, max_len: int, *, letters: Optional[Sequence[int]] = None) -> Iterator[Word]:
         """All words of length 0..max_len in deterministic order."""
         pool = tuple(range(len(self.gens))) if letters is None else tuple(letters)
@@ -343,12 +347,15 @@ def tensor2(algebra: FreeAlgebra, *entries) -> Tensor2:
     return Tensor2(algebra, add_into({}, (term(*e) for e in entries)))
 
 
-def render_terms(algebra: FreeAlgebra, terms: Mapping, legs: int) -> str:
-    """Deterministic rendering shared by polynomials and tensors.
+def render_terms(algebra: FreeAlgebra, terms: Mapping, legs: int,
+                 cyclic: bool = False) -> str:
+    """Deterministic rendering shared by polynomials, tensors and cyclic
+    classes.
 
     Terms are sorted by leg words (length then declaration order), the
     coefficient magnitude is printed only when it is not 1, and signs become
-    separators, e.g. ``x (*) 1 - 1 (*) x``.
+    separators, e.g. ``x (*) 1 - 1 (*) x``.  With `cyclic`, the one-leg keys
+    are cyclic word classes, each rendered as ``[w]``.
     """
     if not terms:
         return "0"
@@ -362,6 +369,8 @@ def render_terms(algebra: FreeAlgebra, terms: Mapping, legs: int) -> str:
         c = terms[k]
         ws = (k,) if legs == 1 else k
         body = " (*) ".join(algebra.render_word(w) for w in ws)
+        if cyclic:
+            body = f"[{body}]"
         mag = abs(c)
         if mag != 1:
             body = f"{mag} * {body}"

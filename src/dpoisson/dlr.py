@@ -308,38 +308,23 @@ def _pair_residual(got: Tuple[Tensor2, Tensor2], want: Tuple[Tensor2, Tensor2]):
     return None
 
 
-def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
-    """The four defining conditions, plus coherence of the anchor extension.
-
-    Conditions (a), (c), (d) carry the data content; the anchor-properties
-    and derivation-compatibility entries re-derive the evaluators' output
-    from whole-block splits and catch inconsistent sign bookkeeping.
-    """
-    alg, r = d.bimodule.ambient, d.shift.r
+def _a_antisymmetry(d: DLRData, mwords: list):
+    """Failures of (a), antisymmetry of the module bracket."""
+    alg = d.bimodule.ambient
     deg = alg.degree
-    rep = CheckReport("dlr", max_len)
-    mwords = list(d.bimodule.module_words(max_len))
-    bwords = list(d.bimodule.base_words(max_len))
-
-    # (a) antisymmetry of the module bracket
-    fail = None
     for w1, w2 in itertools.product(mwords, mwords):
         got = d.mb_eval(w1, w2)
         want = d._partner(d.mb_eval(w2, w1), deg(w1), deg(w2))
         res = _pair_residual(got, want)
         if res is not None:
-            fail = (w1, w2, res)
-            break
-    if fail:
-        rep.add("a-antisymmetry", False,
-                witness=f"({alg.render_word(fail[0])}, {alg.render_word(fail[1])})",
-                residual=fail[2])
-    else:
-        rep.add("a-antisymmetry", True)
+            yield alg.render_words(w1, w2), res
 
-    # anchor coherence: derivation in the second slot and bimodule morphism
-    # in the first, re-derived at every split point
-    fail = None
+
+def _anchor_properties(d: DLRData, mwords: list, bwords: list):
+    """Failures of anchor coherence: derivation in the second slot and
+    bimodule morphism in the first, re-derived at every split point."""
+    alg, r = d.bimodule.ambient, d.shift.r
+    deg = alg.degree
     for wm, wa in itertools.product(mwords, bwords):
         for cut in range(1, len(wa)):
             u, v = wa[:cut], wa[cut:]
@@ -351,10 +336,7 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                 terms[(u + t1, t2)] = terms.get((u + t1, t2), 0) + s * c
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
-                fail = (wm, wa, f"split {cut}", diff.render())
-                break
-        if fail:
-            break
+                yield f"{alg.render_words(wm, wa)} split {cut}", diff.render()
         p, m, q = _split_module_word(alg, wm)
         # left action: wm = p (m q); prepend p to leg 2
         if p:
@@ -365,8 +347,7 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                 terms[(t1, p + t2)] = terms.get((t1, p + t2), 0) + s * c
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
-                fail = (wm, wa, "left action", diff.render())
-                break
+                yield f"{alg.render_words(wm, wa)} left action", diff.render()
         # right action: wm = (p m) q; append q to leg 1
         if q:
             inner = d.anchor_eval(wm[: len(wm) - len(q)], wa)
@@ -376,18 +357,14 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                 terms[(t1 + q, t2)] = terms.get((t1 + q, t2), 0) + s * c
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
-                fail = (wm, wa, "right action", diff.render())
-                break
-    if fail:
-        rep.add("anchor-properties", False,
-                witness=f"({alg.render_word(fail[0])}, {alg.render_word(fail[1])}) {fail[2]}",
-                residual=fail[3])
-    else:
-        rep.add("anchor-properties", True)
+                yield f"{alg.render_words(wm, wa)} right action", diff.render()
 
-    # (b) derivation compatibility: the bracket of wm with a product,
-    # re-derived from whole-block splits of the second slot
-    fail = None
+
+def _b_derivation_compat(d: DLRData, mwords: list):
+    """Failures of (b), derivation compatibility: the bracket of wm with a
+    product, re-derived from whole-block splits of the second slot."""
+    alg, r = d.bimodule.ambient, d.shift.r
+    deg = alg.degree
     for w1, w2 in itertools.product(mwords, mwords):
         L2, R2 = d.mb_eval(w1, w2)
         pos = next(k for k, i in enumerate(w2) if alg.is_module(i))
@@ -407,8 +384,7 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                     rt[(t1, t2 + n)] = rt.get((t1, t2 + n), 0) + c
                 res = _pair_residual((L2, R2), (Tensor2(alg, lt), Tensor2(alg, rt)))
                 if res is not None:
-                    fail = (w1, w2, f"left split {cut}", res)
-                    break
+                    yield f"{alg.render_words(w1, w2)} left split {cut}", res
             else:
                 # w2 = n a with a = w2[cut:] base, n weight one
                 n, a = w2[:cut], w2[cut:]
@@ -424,19 +400,14 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                     lt[(n + t1, t2)] = lt.get((n + t1, t2), 0) + s * c
                 res = _pair_residual((L2, R2), (Tensor2(alg, lt), Tensor2(alg, rt)))
                 if res is not None:
-                    fail = (w1, w2, f"right split {cut}", res)
-                    break
-        if fail:
-            break
-    if fail:
-        rep.add("b-derivation-compat", False,
-                witness=f"({alg.render_word(fail[0])}, {alg.render_word(fail[1])}) {fail[2]}",
-                residual=fail[3])
-    else:
-        rep.add("b-derivation-compat", True)
+                    yield f"{alg.render_words(w1, w2)} right split {cut}", res
 
-    # (c) second anchor compatibility, on (base, module, module) triples
-    fail = None
+
+def _c_anchor_jacobi(d: DLRData, mwords: list, bwords: list):
+    """Failures of (c), the second anchor compatibility, on (base, module,
+    module) triples."""
+    alg, r = d.bimodule.ambient, d.shift.r
+    deg = alg.degree
     for wa, wm, wn in itertools.product(bwords, mwords, mwords):
         da, dm, dn = deg(wa), deg(wm), deg(wn)
         terms: dict = {}
@@ -459,17 +430,13 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                 terms[k3] = terms.get(k3, 0) + s * c * c2
         res = Tensor3(alg, terms)
         if res:
-            fail = (wa, wm, wn, res.render())
-            break
-    if fail:
-        rep.add("c-anchor-jacobi", False,
-                witness=f"({alg.render_word(fail[0])}, {alg.render_word(fail[1])}, {alg.render_word(fail[2])})",
-                residual=fail[3])
-    else:
-        rep.add("c-anchor-jacobi", True)
+            yield alg.render_words(wa, wm, wn), res.render()
 
-    # (d) double Jacobi on module-word triples
-    fail = None
+
+def _d_double_jacobi(d: DLRData, mwords: list):
+    """Failures of (d), double Jacobi on module-word triples."""
+    alg, r = d.bimodule.ambient, d.shift.r
+    deg = alg.degree
     for w1, w2, w3 in itertools.product(mwords, mwords, mwords):
         d1, d2, d3 = deg(w1), deg(w2), deg(w3)
         terms = {}
@@ -496,15 +463,24 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
                 terms[k3] = terms.get(k3, 0) + s * c * c2
         res = Tensor3(alg, terms)
         if res:
-            fail = (w1, w2, w3, res.render())
-            break
-    if fail:
-        rep.add("d-double-jacobi", False,
-                witness=f"({alg.render_word(fail[0])}, {alg.render_word(fail[1])}, {alg.render_word(fail[2])})",
-                residual=fail[3])
-    else:
-        rep.add("d-double-jacobi", True)
-    return rep
+            yield alg.render_words(w1, w2, w3), res.render()
+
+
+def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
+    """The four defining conditions, plus coherence of the anchor extension.
+
+    Conditions (a), (c), (d) carry the data content; the anchor-properties
+    and derivation-compatibility entries re-derive the evaluators' output
+    from whole-block splits and catch inconsistent sign bookkeeping.
+    """
+    mwords = list(d.bimodule.module_words(max_len))
+    bwords = list(d.bimodule.base_words(max_len))
+    rep = CheckReport("dlr", max_len)
+    rep.first_failure("a-antisymmetry", _a_antisymmetry(d, mwords))
+    rep.first_failure("anchor-properties", _anchor_properties(d, mwords, bwords))
+    rep.first_failure("b-derivation-compat", _b_derivation_compat(d, mwords))
+    rep.first_failure("c-anchor-jacobi", _c_anchor_jacobi(d, mwords, bwords))
+    return rep.first_failure("d-double-jacobi", _d_double_jacobi(d, mwords))
 
 
 # -- linear bracket correspondence ---------------------------------------
@@ -629,17 +605,13 @@ def assoc_product_check(bimodule: BimoduleSpec, f: Dict) -> CheckReport:
                     out = out + entry.scale(cx * cy)
         return out
 
-    rep = CheckReport("product-associativity", 1)
-    gens = [NCPoly(alg, {(i,): 1}) for i in range(len(alg.gens))]
-    names = [g.name for g in alg.gens]
-    for a, b, c in itertools.product(range(len(gens)), repeat=3):
-        lhs = prod(prod(gens[a], gens[b]), gens[c])
-        rhs = prod(gens[a], prod(gens[b], gens[c]))
-        res = lhs - rhs
-        if res:
-            rep.add("associativity", False,
-                    witness=f"({names[a]}, {names[b]}, {names[c]})",
-                    residual=res.render())
-            return rep
-    rep.add("associativity", True)
-    return rep
+    def failures():
+        gens = [NCPoly(alg, {(i,): 1}) for i in range(len(alg.gens))]
+        for a, b, c in itertools.product(range(len(gens)), repeat=3):
+            lhs = prod(prod(gens[a], gens[b]), gens[c])
+            rhs = prod(gens[a], prod(gens[b], gens[c]))
+            res = lhs - rhs
+            if res:
+                yield alg.render_words((a,), (b,), (c,)), res.render()
+
+    return CheckReport("product-associativity", 1).first_failure("associativity", failures())

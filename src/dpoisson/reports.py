@@ -3,13 +3,19 @@
 A report is a list of per-axiom entries plus the truncation bound and the
 wall time.  Rendering is deterministic for fixed input; the wall-time line
 can be suppressed so two runs compare byte for byte.
+
+Every check yields its failures, one (witness, residual) pair per failing
+input in enumeration order, and `CheckReport.first_failure` records the
+first of them, or a PASS when there is none.  Failures are read lazily, so
+a check stops at its first failing input.  Double Jacobi is the exception:
+it enumerates every triple, because its cyclic-stability entry needs the
+jacobiator on all of them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 
 @dataclass
@@ -52,6 +58,16 @@ class CheckReport:
     def add(self, axiom: str, passed: bool, witness=None, residual=None):
         self.entries.append(AxiomCheck(axiom, passed, witness, residual))
 
+    def first_failure(self, axiom: str, failures: Iterable) -> "CheckReport":
+        """Record axiom as failing at the first (witness, residual) pair of
+        failures, or as passing when failures is empty."""
+        fail = next(iter(failures), None)
+        if fail is None:
+            self.add(axiom, True)
+        else:
+            self.add(axiom, False, *fail)
+        return self
+
     def entry(self, axiom: str) -> AxiomCheck:
         for e in self.entries:
             if e.axiom == axiom:
@@ -83,6 +99,3 @@ class CheckReport:
         if show_time and self.wall_time is not None:
             d["wall_time"] = round(self.wall_time, 3)
         return d
-
-    def to_json(self, show_time: bool = True) -> str:
-        return json.dumps(self.to_dict(show_time), indent=2)

@@ -141,6 +141,14 @@ def test_jacobiator_violator_residual():
     assert got.render() == "- x (*) x (*) y"
 
 
+def test_jacobiator_rejects_inhomogeneous_input():
+    spec = fx.graded_spec()
+    A = spec.algebra
+    a = A.monomial("a")
+    with pytest.raises(ValueError, match="inhomogeneous input"):
+        double_jacobiator(spec, a, a + A.one(), a)
+
+
 def test_leibniz_bracket_oracle():
     f1 = fx.f1_spec()
     A = f1.algebra
