@@ -23,7 +23,7 @@ output):
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .core import (
     FreeAlgebra,
@@ -184,38 +184,32 @@ def extend_bracket(spec: BracketSpec, a: NCPoly, b: NCPoly) -> Tensor2:
     return out
 
 
-def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
-                      memo: Optional[dict] = None) -> dict:
+def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> dict:
     """Raw terms of {{wa, {{wb,wc}}'}} (x) {{wb,wc}}'' in legs (1,2) (x) 3."""
-    if memo is not None:
-        hit = memo.get((wa, wb, wc))
-        if hit is not None:
-            return hit
     out: dict = {}
     for (y1, y2), cy in spec.eval_words(wb, wc).terms.items():
         for (p1, p2), cp in spec.eval_words(wa, y1).terms.items():
             key = (p1, p2, y2)
             out[key] = out.get(key, 0) + cy * cp
-    if memo is not None:
-        memo[(wa, wb, wc)] = out
     return out
 
 
-def _dj_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
-              memo: Optional[dict] = None) -> Tensor3:
+def _jacobiator(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
+                f_abc: dict, f_cab: dict, f_bca: dict) -> Tensor3:
+    """Jacobiator of (wa, wb, wc) from the first terms f_abc, f_cab, f_bca of
+    its input rotations, which it reads and never writes: the three
+    jacobiators of a rotation orbit share them."""
     alg, r = spec.algebra, spec.shift.r
     deg = alg.degree
     da, db, dc = deg(wa), deg(wb), deg(wc)
-    out: dict = {}
-    for key, c in _first_term_words(spec, wa, wb, wc, memo).items():
-        out[key] = out.get(key, 0) + c
+    out = dict(f_abc)
     s2 = sign_exp((da + r) + (db + r), dc + r)
-    for (p1, p2, p3), c in _first_term_words(spec, wc, wa, wb, memo).items():
+    for (p1, p2, p3), c in f_cab.items():
         s = s2 * sign_exp(deg(p1), deg(p2) + deg(p3))
         key = (p2, p3, p1)
         out[key] = out.get(key, 0) + s * c
     s3 = sign_exp(da + r, (db + r) + (dc + r))
-    for (p1, p2, p3), c in _first_term_words(spec, wb, wc, wa, memo).items():
+    for (p1, p2, p3), c in f_bca.items():
         s = s3 * sign_exp(deg(p1) + deg(p2), deg(p3))
         key = (p3, p1, p2)
         out[key] = out.get(key, 0) + s * c
@@ -238,7 +232,10 @@ def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly) -> Ten
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             for wc, cc in c.terms.items():
-                out = out + _dj_words(spec, wa, wb, wc).scale(ca * cb * cc)
+                val = _jacobiator(spec, wa, wb, wc, _first_term_words(spec, wa, wb, wc),
+                                  _first_term_words(spec, wc, wa, wb),
+                                  _first_term_words(spec, wb, wc, wa))
+                out = out + val.scale(ca * cb * cc)
     return out
 
 
@@ -314,8 +311,10 @@ def check_antisymmetry(spec: BracketSpec, max_len: int = 3) -> CheckReport:
 
 
 def check_extension_order(spec: BracketSpec, max_len: int = 3) -> CheckReport:
-    """First-slot-first and second-slot-first expansions must agree; this is
-    the computable content of deriving the right rule from antisymmetry."""
+    """First-slot-first and second-slot-first expansions must agree.  This
+    only shows that the two derivation rules commute: both orders send a
+    single-letter first slot through the right rule, so a right rule off by
+    a constant factor passes here (antisymmetry catches it)."""
     alg = spec.algebra
 
     def failures():
@@ -329,43 +328,49 @@ def check_extension_order(spec: BracketSpec, max_len: int = 3) -> CheckReport:
 
 def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     """Double Jacobi on word triples, then the cyclic stability of the
-    jacobiator; unlike the other checks it evaluates every triple."""
+    jacobiator; unlike the other checks it evaluates every triple, once per
+    orbit of the rotation (a, b, c) -> (c, a, b), whose three jacobiators
+    share their three first terms."""
     alg, r = spec.algebra, spec.shift.r
     words = list(alg.words_up_to(max_len))
-    # the F-term memo holds up to one entry per word triple.  Median of 5
-    # runs (2-CPU Xeon VM, Python 3.11), time and peak RSS of the process:
-    # f1 at length 4 (31 words) 1.42 s / 61.5 MiB with it, 1.67 s /
-    # 21.4 MiB without; a 6-generator table with 3 constant pairs at length
-    # 2 (43 words) 0.36 s / 31.8 MiB with it, 0.34 s / 17.6 MiB without.
-    # Past 64 000 entries it costs memory and saves no time.
-    memo: Optional[dict] = {} if len(words) ** 3 <= 64_000 else None
-    # nonzero jacobiators in enumeration order, so the first is the witness
+    degs = [alg.degree(w) + r for w in words]  # shifted slot degrees
+    n = len(words)
+    # failing triples keyed by word positions, so sorted is enumeration order
     nonzero: dict = {}
-    for w1, w2, w3 in itertools.product(words, words, words):
-        val = _dj_words(spec, w1, w2, w3, memo=memo)
-        if val:
-            nonzero[(w1, w2, w3)] = val
+    unstable: dict = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(i if j == i else i + 1, n):
+                wa, wb, wc = words[i], words[j], words[k]
+                f_abc = _first_term_words(spec, wa, wb, wc)
+                f_cab = _first_term_words(spec, wc, wa, wb)
+                f_bca = _first_term_words(spec, wb, wc, wa)
+                orbit = (
+                    ((i, j, k), _jacobiator(spec, wa, wb, wc, f_abc, f_cab, f_bca)),
+                    ((k, i, j), _jacobiator(spec, wc, wa, wb, f_cab, f_bca, f_abc)),
+                    ((j, k, i), _jacobiator(spec, wb, wc, wa, f_bca, f_abc, f_cab)),
+                )
+                if not any(val for _, val in orbit):
+                    continue
+                # the jacobiator must be fixed by the signed cyclic rotation
+                # of inputs and output legs simultaneously (output legs are
+                # bare algebra factors, so their rotation pays no shift);
+                # the rotation of orbit[m] is orbit[m + 1]
+                for m, (t, val) in enumerate(orbit):
+                    if val:
+                        nonzero[t] = val
+                    s_in = sign_exp(degs[t[0]] + degs[t[1]], degs[t[2]])
+                    other = orbit[(m + 1) % 3][1].permute((1, 2, 0), s_in)
+                    if val != other:
+                        unstable[t] = val - other
+
+    def first_failures(failing: dict):
+        for t in sorted(failing):
+            yield alg.render_words(*(words[p] for p in t)), failing[t].render()
+
     rep = CheckReport("double-jacobi", max_len)
-    rep.first_failure("double-jacobi", (
-        (alg.render_words(*t), val.render()) for t, val in nonzero.items()))
-
-    # the jacobiator must be fixed by the signed cyclic rotation of inputs
-    # and output legs simultaneously (output legs are bare algebra factors,
-    # so their rotation pays no shift); zero triples only need a look when
-    # a rotation pairs them with a nonzero one
-    def unstable():
-        empty = Tensor3(alg, {})
-        to_check = set(nonzero)
-        to_check.update((t[1], t[2], t[0]) for t in nonzero)
-        for w1, w2, w3 in to_check:
-            val = nonzero.get((w1, w2, w3), empty)
-            d1, d2, d3 = alg.degree(w1), alg.degree(w2), alg.degree(w3)
-            s_in = sign_exp((d1 + r) + (d2 + r), d3 + r)
-            other = nonzero.get((w3, w1, w2), empty).permute((1, 2, 0), s_in)
-            if val != other:
-                yield alg.render_words(w1, w2, w3), (val - other).render()
-
-    return rep.first_failure("jacobi-cyclic-stability", unstable())
+    rep.first_failure("double-jacobi", first_failures(nonzero))
+    return rep.first_failure("jacobi-cyclic-stability", first_failures(unstable))
 
 
 def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:

@@ -138,11 +138,12 @@ def _legwise_d(omega: OmegaPresentation, t: Tensor2, leg: int) -> Tensor2:
     )))
 
 
-def koszul_bracket(spec: BracketSpec, verify_len: int = 2) -> DLRData:
+def koszul_bracket(spec: BracketSpec) -> DLRData:
     """Double Lie-Rinehart data on 1-forms induced by a double Poisson
     bracket: the anchor is the bracket table itself, the form bracket its
-    legwise derivative."""
-    if not check_antisymmetry(spec, verify_len).ok or not check_double_jacobi(spec, verify_len).ok:
+    legwise derivative.  The bracket must pass antisymmetry and double
+    Jacobi on words up to length 2, else ValueError."""
+    if not check_antisymmetry(spec, 2).ok or not check_double_jacobi(spec, 2).ok:
         raise ValueError("input is not double Poisson")
     base = spec.algebra
     if base.module_indices:
@@ -152,7 +153,7 @@ def koszul_bracket(spec: BracketSpec, verify_len: int = 2) -> DLRData:
 
     def relift(t: Tensor2) -> Tensor2:
         # base words keep their indices in the ambient algebra
-        return Tensor2(amb, dict(t.terms))
+        return Tensor2(amb, t.terms)
 
     anchor: dict = {}
     mbracket: dict = {}
@@ -184,7 +185,7 @@ def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
 
     def failures():
         for u, v in itertools.product(words, words):
-            t = Tensor2(amb, dict(spec.eval_words(u, v).terms))
+            t = Tensor2(amb, spec.eval_words(u, v).terms)
             lhs = _legwise_d(omega, t, 0) + _legwise_d(omega, t, 1)
             du = universal_derivation(omega, u)
             dv = universal_derivation(omega, v)

@@ -8,8 +8,8 @@ Every check yields its failures, one (witness, residual) pair per failing
 input in enumeration order, and `CheckReport.first_failure` records the
 first of them, or a PASS when there is none.  Failures are read lazily, so
 a check stops at its first failing input.  Double Jacobi is the exception:
-it enumerates every triple, because its cyclic-stability entry needs the
-jacobiator on all of them.
+it evaluates every triple, once per rotation orbit, for its cyclic-stability
+entry, and both of its entries report the first failure in enumeration order.
 """
 
 from __future__ import annotations

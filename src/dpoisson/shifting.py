@@ -31,7 +31,7 @@ def shift_dlr(d: DLRData, delta: int) -> DLRData:
         anchor[(i, j)] = Tensor2(new_amb, {k: s * c for k, c in val.terms.items()})
     mbracket: dict = {}
     for (i, j), (l, rr) in d.mbracket.items():
-        nl = Tensor2(new_amb, dict(l.terms))
+        nl = Tensor2(new_amb, l.terms)
         nr_terms = {}
         for (u, v), c in rr.terms.items():
             nr_terms[(u, v)] = sign_exp(delta, alg.degree(u)) * c

@@ -188,13 +188,6 @@ class _Parser:
             raise DocumentError(f"expected {want!r}, got {got!r}", t.line, t.col)
         return self.advance()
 
-    def keyword(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.value != word:
-            got = t.value if t.value else t.kind
-            raise DocumentError(f"expected {word!r}, got {got!r}", t.line, t.col)
-        return self.advance()
-
     def integer(self) -> int:
         neg = False
         if self.peek().kind == "-":
@@ -318,10 +311,10 @@ class _Parser:
     def _algebra(self, doc: Document):
         name = self.expect("ident")
         self.expect("{")
-        self.keyword("shift")
+        self.expect("ident", "shift")
         self.expect("=")
         r = self.integer()
-        self.keyword("gens")
+        self.expect("ident", "gens")
         self.expect("=")
         gens = self.genlist()
         self.expect("}")
@@ -333,12 +326,12 @@ class _Parser:
 
     def _bimodule(self, doc: Document):
         name = self.expect("ident")
-        self.keyword("over")
+        self.expect("ident", "over")
         over = self.expect("ident")
         if over.value not in doc.algebras:
             raise DocumentError(f"unknown algebra '{over.value}'", over.line, over.col)
         self.expect("{")
-        self.keyword("gens")
+        self.expect("ident", "gens")
         self.expect("=")
         gens = self.genlist()
         self.expect("}")
@@ -360,7 +353,7 @@ class _Parser:
 
     def _bracket(self, doc: Document):
         name = self.expect("ident")
-        self.keyword("on")
+        self.expect("ident", "on")
         on = self.expect("ident")
         alg = self._target(doc, on)
         shift = doc.shift_of(on.value)
@@ -382,7 +375,7 @@ class _Parser:
     def _dlr(self, doc: Document):
         name = self.expect("ident")
         self.expect("{")
-        self.keyword("module")
+        self.expect("ident", "module")
         self.expect("=")
         mod = self.expect("ident")
         if mod.value not in doc.bimodules:
@@ -390,11 +383,11 @@ class _Parser:
         bm = doc.bimodules[mod.value]
         alg = bm.ambient
         shift = doc.shift_of(mod.value)
-        self.keyword("anchor")
+        self.expect("ident", "anchor")
         self.expect("{")
         anchor_rules = self.rules(alg)
         self.expect("}")
-        self.keyword("bracket")
+        self.expect("ident", "bracket")
         t0 = self.expect("{")
         bracket_rules = self.rules(alg)
         self.expect("}")

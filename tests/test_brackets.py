@@ -5,13 +5,15 @@ components and only then frozen here; the suite fails if the evaluator
 drifts from them.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpoisson import brackets
 from dpoisson import fixtures as fx
-from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
+from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, Tensor3, sign_exp, tensor2
 from dpoisson.brackets import (
     BracketSpec,
     antisym_partner,
@@ -345,3 +347,91 @@ def test_rational_scaling_of_jacobi_residual(c):
     assert got.witness == "(x, x, y)"
     assert got.residual == double_jacobiator(spec, x, x, y).scale(c * c).render()
     assert got.residual == f"- {c * c} * x (*) x (*) y"
+
+
+# -- double Jacobi, one rotation orbit at a time ---------------------------
+
+
+@st.composite
+def homogeneous_specs(draw):
+    """Tables on one or two generators of degree 0 or 1, shift -2..1, with
+    small integer coefficients on leg words of length <= 2; {{x_i, x_j}} is
+    drawn for i <= j and the transposes are synthesized by antisymmetry."""
+    degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    A = FreeAlgebra(tuple(Generator(n, d) for n, d in zip("xy", degrees)))
+    r = draw(st.integers(-2, 1))
+    legs = list(A.words_up_to(2))
+    table = {}
+    for i, j in itertools.combinations_with_replacement(range(len(degrees)), 2):
+        keys = [(u, v) for u in legs for v in legs
+                if A.degree(u) + A.degree(v) == degrees[i] + degrees[j] + r]
+        if keys:
+            table[(i, j)] = Tensor2(A, draw(st.dictionaries(
+                st.sampled_from(keys), st.integers(-2, 2), max_size=3)))
+    return BracketSpec(A, ShiftContext(r), table)
+
+
+def reference_double_jacobi(spec, max_len):
+    """Both double-Jacobi entries straight from double_jacobiator on every
+    monomial triple in product order: the first nonzero jacobiator, and the
+    first one not fixed by the signed rotation; None for a pass."""
+    A, r = spec.algebra, spec.shift.r
+    words = list(A.words_up_to(max_len))
+    jac = {t: double_jacobiator(spec, *(A.poly({w: 1}) for w in t))
+           for t in itertools.product(words, repeat=3)}
+
+    def rotation_residual(t):
+        d1, d2, d3 = (A.degree(w) + r for w in t)
+        return jac[t] - jac[(t[2], t[0], t[1])].permute((1, 2, 0), sign_exp(d1 + d2, d3))
+
+    nonzero = ((t, jac[t]) for t in jac)
+    unstable = ((t, rotation_residual(t)) for t in jac)
+    return [next(((A.render_words(*t), v.render()) for t, v in failing if v), None)
+            for failing in (nonzero, unstable)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_specs())
+def test_double_jacobi_matches_jacobiator_on_every_triple(spec):
+    rep = check_double_jacobi(spec, max_len=2)
+    got = [None if e.passed else (e.witness, e.residual) for e in rep.entries]
+    assert got == reference_double_jacobi(spec, 2)
+
+
+@pytest.mark.parametrize("triple", ["x, y, 1", "y, 1, x", "1, x, y", "y, x.y, x", "x, x, x"])
+def test_cyclic_stability_witness_is_first_in_enumeration_order(monkeypatch, triple):
+    # a jacobiator corrupted at one triple breaks stability there and at the
+    # triple that rotates onto it, which its orbit may visit out of order
+    f1 = fx.f1_spec()
+    A = f1.algebra
+    bad = tuple(A.word(w) for w in triple.split(", "))
+    jac = brackets._jacobiator
+
+    def corrupted(spec, wa, wb, wc, *first_terms):
+        val = jac(spec, wa, wb, wc, *first_terms)
+        if (wa, wb, wc) == bad:
+            val = val + Tensor3(A, {(A.word("x"), (), A.word("y")): 1})
+        return val
+
+    monkeypatch.setattr(brackets, "_jacobiator", corrupted)
+    rep = check_double_jacobi(f1, max_len=2)
+    assert [(e.witness, e.residual) for e in rep.entries] == reference_double_jacobi(f1, 2)
+
+
+def test_double_jacobi_first_terms_once_per_orbit(monkeypatch):
+    # an orbit asks for the first terms of its three rotations: n^3 - n
+    # triples lie in orbits of three and n in orbits of one, so n words
+    # take n^3 + 2n calls (three per triple before)
+    seen = []
+    first_terms = brackets._first_term_words
+
+    def counted(spec, *triple):
+        seen.append(triple)
+        return first_terms(spec, *triple)
+
+    monkeypatch.setattr(brackets, "_first_term_words", counted)
+    spec = fx.f1_spec()
+    check_double_jacobi(spec, max_len=2)
+    n = len(list(spec.algebra.words_up_to(2)))
+    assert n == 7 and len(seen) == n ** 3 + 2 * n == 357
+    assert len(set(seen)) == n ** 3

@@ -18,6 +18,7 @@ from dpoisson.brackets import (
     check_double_jacobi,
     check_extension_order,
     check_necklace_jacobi,
+    run_bracket_checks,
 )
 from dpoisson.calculus import koszul_square_check
 from dpoisson.core import Tensor3, tensor2
@@ -60,18 +61,38 @@ def test_extension_order_fail_line():
     ]
 
 
+class RightRuleScaled(BracketSpec):
+    """f1 whose right rule is doubled, in both expansion orders."""
+
+    def _right_rule(self, w1, w2, order):
+        return super()._right_rule(w1, w2, order).scale(2)
+
+
+def test_extension_order_misses_a_scaled_right_rule():
+    # both orders send a single-letter first slot through the right rule, so
+    # the factor cancels in extension-order; antisymmetry catches it
+    f1 = fx.f1_spec()
+    rep = run_bracket_checks(RightRuleScaled(f1.algebra, f1.shift, f1.table),
+                             max_len=2, necklace=False)
+    assert lines(rep)[:2] == [
+        "antisymmetry: FAIL at (x, x.y)  residual: x (*) 1",
+        "extension-order: PASS",
+    ]
+    assert not rep.ok
+
+
 def test_jacobi_cyclic_stability_fail_line(monkeypatch):
     # x (x) 1 (x) 1 added to the jacobiator of (x, y, y) only: its
     # rotation partner (y, x, y) stays zero
-    dj = brackets._dj_words
+    jac = brackets._jacobiator
 
-    def corrupted(spec, wa, wb, wc, memo=None):
-        val = dj(spec, wa, wb, wc, memo=memo)
+    def corrupted(spec, wa, wb, wc, *first_terms):
+        val = jac(spec, wa, wb, wc, *first_terms)
         if (wa, wb, wc) == ((0,), (1,), (1,)):
             val = val + Tensor3(spec.algebra, {((0,), (), ()): 1})
         return val
 
-    monkeypatch.setattr(brackets, "_dj_words", corrupted)
+    monkeypatch.setattr(brackets, "_jacobiator", corrupted)
     assert lines(check_double_jacobi(fx.f1_spec(), max_len=2)) == [
         "double-jacobi: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",
         "jacobi-cyclic-stability: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",

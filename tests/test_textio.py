@@ -114,6 +114,11 @@ ERRORS = [
     ("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\nbracket B on A {\n"
      "  [x, y] = 1 (*) 1 - 1/0 * x (*) y\n}\n",
      "line 6, col 22: zero denominator in '1/0'"),
+    ("algebra A {\n  shfit = 0\n}\n", "line 2, col 3: expected 'shift', got 'shfit'"),
+    ("algebra A {\n  = 0\n}\n", "line 2, col 3: expected 'shift', got '='"),
+    ("algebra A {\n", "line 2, col 1: expected 'shift', got 'eof'"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0 ]\n}\nbracket B in A {\n}\n",
+     "line 5, col 11: expected 'on', got 'in'"),
 ]
 
 
