@@ -22,6 +22,7 @@ output):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Tuple
 
@@ -131,15 +132,26 @@ class BracketSpec:
         hit = cache.get((w1, w2))
         if hit is not None:
             return hit
-        if not w1 or not w2:
-            out = Tensor2(self.algebra, {})
-        elif len(w1) == 1 and len(w2) == 1:
-            out = self.elem(w1[0], w2[0])
-        elif (len(w1) > 1 and order == "left") or len(w2) == 1:
-            out = self._left_rule(w1, w2, order)
-        else:
-            out = self._right_rule(w1, w2, order)
-        cache[(w1, w2)] = out
+        # a stack, not recursion, so no word is too long: a path of keys, each
+        # read by the one below, the top evaluated once both its reads are cached
+        stack = [(w1, w2)]
+        while stack:
+            a, b = stack[-1]
+            if not a or not b:
+                out = Tensor2(self.algebra, {})
+            elif len(a) == 1 and len(b) == 1:
+                out = self.elem(a[0], b[0])
+            else:
+                left = (len(a) > 1 and order == "left") or len(b) == 1
+                r1, r2 = ((a[1:], b), (a[:1], b)) if left else ((a, b[:1]), (a, b[1:]))
+                if r1 not in cache:
+                    stack.append(r1)
+                    continue
+                if r2 not in cache:
+                    stack.append(r2)
+                    continue
+                out = (self._left_rule if left else self._right_rule)(a, b, order)
+            cache[stack.pop()] = out
         return out
 
     def _left_rule(self, w1: Word, w2: Word, order: str) -> Tensor2:
@@ -194,26 +206,32 @@ def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> dict:
     return out
 
 
-def _jacobiator(spec: BracketSpec, wa: Word, wb: Word, wc: Word,
-                f_abc: dict, f_cab: dict, f_bca: dict) -> Tensor3:
-    """Jacobiator of (wa, wb, wc) from the first terms f_abc, f_cab, f_bca of
-    its input rotations, which it reads and never writes: the three
-    jacobiators of a rotation orbit share them."""
+def _orbit_jacobiators(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> tuple:
+    """Raw jacobiators of the rotations (wa, wb, wc), (wc, wa, wb), (wb, wc, wa).
+
+    Rotation m adds to its first term F_m the terms F_m+1 and F_m+2 with
+    output legs rotated once and twice, p1 (x) p2 (x) p3 -> p2 (x) p3 (x) p1,
+    so each first term is walked once and added into all three."""
     alg, r = spec.algebra, spec.shift.r
     deg = alg.degree
-    da, db, dc = deg(wa), deg(wb), deg(wc)
-    out = dict(f_abc)
-    s2 = sign_exp((da + r) + (db + r), dc + r)
-    for (p1, p2, p3), c in f_cab.items():
-        s = s2 * sign_exp(deg(p1), deg(p2) + deg(p3))
-        key = (p2, p3, p1)
-        out[key] = out.get(key, 0) + s * c
-    s3 = sign_exp(da + r, (db + r) + (dc + r))
-    for (p1, p2, p3), c in f_bca.items():
-        s = s3 * sign_exp(deg(p1) + deg(p2), deg(p3))
-        key = (p3, p1, p2)
-        out[key] = out.get(key, 0) + s * c
-    return Tensor3(alg, out)
+    a, b, c = deg(wa) + r, deg(wb) + r, deg(wc) + r  # shifted slot degrees
+    # rotation n, of shifted degrees (A, B, C), takes F_n+1 with the sign
+    # s[n] = (-1)^((A+B)C) and F_n+2 with (-1)^(A(B+C)) = s[n - 1]
+    s = (sign_exp(a + b, c), sign_exp(c + a, b), sign_exp(b + c, a))
+    jacs = ({}, {}, {})
+    for m, t in enumerate(((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
+        # F_m is the F_n+1 of rotation n = m - 1 and the F_n+2 of n = m - 2
+        own, once, twice = jacs[m], jacs[m - 1], jacs[m - 2]
+        s_once, s_twice = s[m - 1], s[m]
+        for key, cf in _first_term_words(spec, *t).items():
+            own[key] = own.get(key, 0) + cf
+            p1, p2, p3 = key
+            d1, d2, d3 = deg(p1), deg(p2), deg(p3)
+            key = (p2, p3, p1)
+            once[key] = once.get(key, 0) + s_once * sign_exp(d1, d2 + d3) * cf
+            key = (p3, p1, p2)
+            twice[key] = twice.get(key, 0) + s_twice * sign_exp(d1 + d2, d3) * cf
+    return jacs
 
 
 def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
@@ -232,9 +250,7 @@ def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly) -> Ten
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             for wc, cc in c.terms.items():
-                val = _jacobiator(spec, wa, wb, wc, _first_term_words(spec, wa, wb, wc),
-                                  _first_term_words(spec, wc, wa, wb),
-                                  _first_term_words(spec, wb, wc, wa))
+                val = Tensor3(spec.algebra, _orbit_jacobiators(spec, wa, wb, wc)[0])
                 out = out + val.scale(ca * cb * cc)
     return out
 
@@ -335,59 +351,46 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     words = list(alg.words_up_to(max_len))
     degs = [alg.degree(w) + r for w in words]  # shifted slot degrees
     n = len(words)
-    # failing triples keyed by word positions, so sorted is enumeration order
-    nonzero: dict = {}
-    unstable: dict = {}
+    # (word positions, residual) of the least failing triple of each entry:
+    # the least positions are the first triple in enumeration order
+    nonzero = unstable = None
     for i in range(n):
         for j in range(i, n):
             for k in range(i if j == i else i + 1, n):
-                wa, wb, wc = words[i], words[j], words[k]
-                f_abc = _first_term_words(spec, wa, wb, wc)
-                f_cab = _first_term_words(spec, wc, wa, wb)
-                f_bca = _first_term_words(spec, wb, wc, wa)
-                orbit = (
-                    ((i, j, k), _jacobiator(spec, wa, wb, wc, f_abc, f_cab, f_bca)),
-                    ((k, i, j), _jacobiator(spec, wc, wa, wb, f_cab, f_bca, f_abc)),
-                    ((j, k, i), _jacobiator(spec, wb, wc, wa, f_bca, f_abc, f_cab)),
-                )
-                if not any(val for _, val in orbit):
+                jacs = _orbit_jacobiators(spec, words[i], words[j], words[k])
+                if not any(map(any, map(dict.values, jacs))):
                     continue
+                orbit = ((i, j, k), (k, i, j), (j, k, i))
+                vals = [Tensor3(alg, jac) for jac in jacs]
                 # the jacobiator must be fixed by the signed cyclic rotation
                 # of inputs and output legs simultaneously (output legs are
                 # bare algebra factors, so their rotation pays no shift);
                 # the rotation of orbit[m] is orbit[m + 1]
-                for m, (t, val) in enumerate(orbit):
-                    if val:
-                        nonzero[t] = val
+                for m, (t, val) in enumerate(zip(orbit, vals)):
+                    if val and (nonzero is None or t < nonzero[0]):
+                        nonzero = t, val
                     s_in = sign_exp(degs[t[0]] + degs[t[1]], degs[t[2]])
-                    other = orbit[(m + 1) % 3][1].permute((1, 2, 0), s_in)
-                    if val != other:
-                        unstable[t] = val - other
+                    other = vals[(m + 1) % 3].permute((1, 2, 0), s_in)
+                    if val != other and (unstable is None or t < unstable[0]):
+                        unstable = t, val - other
 
-    def first_failures(failing: dict):
-        for t in sorted(failing):
-            yield alg.render_words(*(words[p] for p in t)), failing[t].render()
+    def found(least) -> list:
+        return [] if least is None else [
+            (alg.render_words(*(words[p] for p in least[0])), least[1].render())]
 
     rep = CheckReport("double-jacobi", max_len)
-    rep.first_failure("double-jacobi", first_failures(nonzero))
-    return rep.first_failure("jacobi-cyclic-stability", first_failures(unstable))
+    rep.first_failure("double-jacobi", found(nonzero))
+    return rep.first_failure("jacobi-cyclic-stability", found(unstable))
 
 
 def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     """{a,{b,c}} = {{a,b},c} + (-1)^((r+|a|)(r+|b|)) {b,{a,c}} on words."""
     alg, r = spec.algebra, spec.shift.r
     words = list(alg.words_up_to(max_len))
-    lb_cache: dict = {}
 
+    @functools.cache
     def lb(wa: Word, wb: Word) -> dict:
-        hit = lb_cache.get((wa, wb))
-        if hit is None:
-            hit = {}
-            for (u, v), c in spec.eval_words(wa, wb).terms.items():
-                w = u + v
-                hit[w] = hit.get(w, 0) + c
-            lb_cache[(wa, wb)] = hit
-        return hit
+        return add_into({}, ((u + v, c) for (u, v), c in spec.eval_words(wa, wb).terms.items()))
 
     def lb_wp(wa: Word, terms: dict) -> dict:
         out: dict = {}
@@ -403,17 +406,35 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
                 out[w] = out.get(w, 0) + c * c2
         return out
 
+    def residual(a_bc: dict, ab_c: dict, b_ac: dict, s: int) -> dict:
+        res = dict(a_bc)
+        for terms, t in ((ab_c, -1), (b_ac, -s)):
+            for w, c in terms.items():
+                res[w] = res.get(w, 0) + t * c
+        return res
+
     def failures():
-        for w1, w2, w3 in itertools.product(words, words, words):
-            res = lb_wp(w1, lb(w2, w3))
-            for w, c in lb_pw(lb(w1, w2), w3).items():
-                res[w] = res.get(w, 0) - c
-            s = sign_exp(r + alg.degree(w1), r + alg.degree(w2))
-            for w, c in lb_wp(w2, lb(w1, w3)).items():
-                res[w] = res.get(w, 0) - s * c
-            res = {w: c for w, c in res.items() if c}
-            if res:
-                yield alg.render_words(w1, w2, w3), NCPoly(alg, res).render()
+        # row i evaluates (i, j, k) and its swap (j, i, k) for every j >= i
+        # from the shared terms {a,{b,c}} and {b,{a,c}} (the sign is
+        # symmetric in a and b); a swap failure waits in later[j], in
+        # enumeration order, for row j, which it precedes
+        later: list = [[] for _ in words]
+        for i, wa in enumerate(words):
+            for wb, wc, res in later[i]:
+                yield alg.render_words(wa, wb, wc), res.render()
+            for j in range(i, len(words)):
+                wb = words[j]
+                s = sign_exp(r + alg.degree(wa), r + alg.degree(wb))
+                for wc in words:
+                    a_bc = lb_wp(wa, lb(wb, wc))
+                    b_ac = a_bc if j == i else lb_wp(wb, lb(wa, wc))
+                    res = residual(a_bc, lb_pw(lb(wa, wb), wc), b_ac, s)
+                    if any(res.values()):
+                        yield alg.render_words(wa, wb, wc), NCPoly(alg, res).render()
+                    if j != i:
+                        res = residual(b_ac, lb_pw(lb(wb, wa), wc), a_bc, s)
+                        if any(res.values()):
+                            later[j].append((wa, wc, NCPoly(alg, res)))
 
     return CheckReport("left-leibniz", max_len).first_failure("left-leibniz", failures())
 
@@ -421,19 +442,20 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
 def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     alg, r = spec.algebra, spec.shift.r
     words = [w for w in alg.words_up_to(max_len) if w]
+    # necklace_bracket once per pair; its values are only read
+    nb = functools.cache(lambda w1, w2: necklace_bracket(spec, w1, w2))
 
     # representative independence: one rotation step in either slot changes
     # the result by exactly the rotation sign
     def misrepresented():
         for w1, w2 in itertools.product(words, words):
-            base = necklace_bracket(spec, w1, w2)
+            base = nb(w1, w2)
             for slot, w in ((0, w1), (1, w2)):
                 if len(w) < 2:
                     continue
                 rot = (w[-1],) + w[:-1]
                 s = sign_exp(alg.degree((w[-1],)), alg.degree(w[:-1]))
-                got = necklace_bracket(spec, rot if slot == 0 else w1,
-                                       w2 if slot == 0 else rot)
+                got = nb(rot if slot == 0 else w1, w2 if slot == 0 else rot)
                 scaled = {k: s * v for k, v in got.items()}
                 if scaled != base:
                     yield f"{alg.render_words(w1, w2)} slot {slot + 1}", None
@@ -456,17 +478,16 @@ def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         return add_into({}, (
             (k2, c * c2)
             for k, c in m.items() if k
-            for k2, c2 in (necklace_bracket(spec, w, k) if w_first
-                           else necklace_bracket(spec, k, w)).items()
+            for k2, c2 in (nb(w, k) if w_first else nb(k, w)).items()
         ))
 
     def failures():
         for a, b, c in itertools.product(classes, classes, classes):
-            lhs = _clean(nb_ext(a, necklace_bracket(spec, b, c)))
-            rhs = nb_ext(c, necklace_bracket(spec, a, b), w_first=False)
+            lhs = _clean(nb_ext(a, nb(b, c)))
+            rhs = nb_ext(c, nb(a, b), w_first=False)
             s = sign_exp(r + alg.degree(a), r + alg.degree(b))
             rhs = _clean(add_into(rhs, (
-                (k, s * v) for k, v in nb_ext(b, necklace_bracket(spec, a, c)).items())))
+                (k, s * v) for k, v in nb_ext(b, nb(a, c)).items())))
             if lhs != rhs:
                 diff = _clean(add_into(dict(lhs), ((k, -v) for k, v in rhs.items())))
                 yield (f"([{alg.render_word(a)}], [{alg.render_word(b)}], [{alg.render_word(c)}])",

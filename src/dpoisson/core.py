@@ -11,12 +11,13 @@ coefficients, with the shared arithmetic, degree and rendering.  The
 public types only fix the number of legs: `NCPoly` (1, with the
 concatenation product), `Tensor2` (2) and `Tensor3` (3).  Every signed move
 of tensor legs (the swap tau, the rotations of the double Jacobi identity)
-is one call of `Sparse.permute`.
+is one call of `Sparse.permute`, except in the double-Jacobi orbit kernel of
+`brackets.py`, which rotates the legs of each first term inline.
 
-Every graded sign in the package is produced by `koszul_sign` / `sign_exp`:
-moving material of total degree d1 past material of total degree d2 costs
-(-1)^(d1*d2).  The suspension symbol of a shift context counts as material
-of degree r when it moves.
+Every graded sign in the package is produced by `sign_exp`: moving material
+of total degree d1 past material of total degree d2 costs (-1)^(d1*d2).
+The suspension symbol of a shift context counts as material of degree r
+when it moves.  `koszul_sign` is the same sign for lists of degrees.
 """
 
 from __future__ import annotations
@@ -65,12 +66,7 @@ def sign_exp(d1: int, d2: int) -> int:
 
 
 def koszul_sign(degrees_moved: Iterable[int], degrees_passed: Iterable[int]) -> int:
-    """Koszul sign (-1)^(sum(moved) * sum(passed)) as an int.
-
-    This is the one place graded commutativity signs come from; composite
-    morphisms are evaluated as sequences of elementary moves, each paying
-    its toll here.
-    """
+    """Koszul sign (-1)^(sum(moved) * sum(passed)) as an int."""
     return sign_exp(sum(degrees_moved), sum(degrees_passed))
 
 

@@ -7,9 +7,10 @@ can be suppressed so two runs compare byte for byte.
 Every check yields its failures, one (witness, residual) pair per failing
 input in enumeration order, and `CheckReport.first_failure` records the
 first of them, or a PASS when there is none.  Failures are read lazily, so
-a check stops at its first failing input.  Double Jacobi is the exception:
-it evaluates every triple, once per rotation orbit, for its cyclic-stability
-entry, and both of its entries report the first failure in enumeration order.
+a check stops at its first failing input, except that left Leibniz, which
+evaluates (a, b, c) with its swap (b, a, c), may run on to the row of first
+slot b, and double Jacobi evaluates every triple, once per rotation orbit,
+for its cyclic-stability entry; each reports the first failure in order.
 """
 
 from __future__ import annotations

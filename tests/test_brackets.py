@@ -9,11 +9,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpoisson import brackets
 from dpoisson import fixtures as fx
-from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, Tensor3, sign_exp, tensor2
+from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, sign_exp, tensor2
 from dpoisson.brackets import (
     BracketSpec,
     antisym_partner,
@@ -126,6 +126,34 @@ def test_graded_eval_antisymmetry_sign():
     val = g.eval_words(A.word("a"), A.word("a"))
     assert val == tensor2(A, ("1", "1"))
     assert antisym_partner(val, 1, 1, -2) == val
+
+
+def recursion_keys(w1, w2, order, keys):
+    """The cache keys a recursive evaluation of {{w1, w2}} fills: the key
+    itself and, unless a slot is the unit or both are letters, the two keys
+    its rule reads."""
+    if (w1, w2) in keys:
+        return keys
+    if w1 and w2 and (len(w1) > 1 or len(w2) > 1):
+        if (len(w1) > 1 and order == "left") or len(w2) == 1:
+            reads = ((w1[1:], w2), (w1[:1], w2))
+        else:
+            reads = ((w1, w2[:1]), (w1, w2[1:]))
+        for k in reads:
+            recursion_keys(*k, order, keys)
+    keys.add((w1, w2))
+    return keys
+
+
+@pytest.mark.parametrize("make", [fx.f1_spec, fx.graded_spec, fx.quadratic_spec])
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_eval_words_fills_the_recursion_keys(make, order):
+    spec = make()
+    words = list(spec.algebra.words_up_to(3))
+    for w1, w2 in itertools.product(words, words):
+        fresh = BracketSpec(spec.algebra, spec.shift, spec.table)
+        fresh.eval_words(w1, w2, order)
+        assert set(fresh._cache[order]) == recursion_keys(w1, w2, order, set())
 
 
 def test_jacobiator_f2_vanishes_on_generator_triple():
@@ -405,15 +433,17 @@ def test_cyclic_stability_witness_is_first_in_enumeration_order(monkeypatch, tri
     f1 = fx.f1_spec()
     A = f1.algebra
     bad = tuple(A.word(w) for w in triple.split(", "))
-    jac = brackets._jacobiator
+    orbit = brackets._orbit_jacobiators
+    key = (A.word("x"), (), A.word("y"))
 
-    def corrupted(spec, wa, wb, wc, *first_terms):
-        val = jac(spec, wa, wb, wc, *first_terms)
-        if (wa, wb, wc) == bad:
-            val = val + Tensor3(A, {(A.word("x"), (), A.word("y")): 1})
-        return val
+    def corrupted(spec, wa, wb, wc):
+        jacs = orbit(spec, wa, wb, wc)
+        for jac, t in zip(jacs, ((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
+            if t == bad:
+                jac[key] = jac.get(key, 0) + 1
+        return jacs
 
-    monkeypatch.setattr(brackets, "_jacobiator", corrupted)
+    monkeypatch.setattr(brackets, "_orbit_jacobiators", corrupted)
     rep = check_double_jacobi(f1, max_len=2)
     assert [(e.witness, e.residual) for e in rep.entries] == reference_double_jacobi(f1, 2)
 
@@ -435,3 +465,56 @@ def test_double_jacobi_first_terms_once_per_orbit(monkeypatch):
     n = len(list(spec.algebra.words_up_to(2)))
     assert n == 7 and len(seen) == n ** 3 + 2 * n == 357
     assert len(set(seen)) == n ** 3
+
+
+# -- left Leibniz per swap orbit, necklace brackets once per pair -----------
+
+
+def reference_left_leibniz(spec, max_len):
+    """The left-leibniz entry straight from leibniz_bracket on every monomial
+    triple in product order: the first nonzero residual, or None."""
+    A, r = spec.algebra, spec.shift.r
+    words = list(A.words_up_to(max_len))
+
+    def lb(a, b):
+        return leibniz_bracket(spec, a, b)
+
+    for t in itertools.product(words, repeat=3):
+        a, b, c = (A.poly({w: 1}) for w in t)
+        s = sign_exp(r + A.degree(t[0]), r + A.degree(t[1]))
+        res = lb(a, lb(b, c)) - lb(lb(a, b), c) - lb(b, lb(a, c)).scale(s)
+        if res:
+            return A.render_words(*t), res.render()
+    return None
+
+
+# {{x, x}} = 1 (x) 1 is not antisymmetric, so the left Leibniz residuals of
+# (a, b, c) and (b, a, c) differ, and the first failing triple (x.x, x, x)
+# is the swap partner of (x, x.x, x), evaluated in an earlier row
+SWAP_FIRST = BracketSpec(FreeAlgebra((Generator("x"),)), ShiftContext(0),
+                         {(0, 0): tensor2(FreeAlgebra((Generator("x"),)), ("1", "1"))})
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_specs())
+@example(SWAP_FIRST)
+def test_left_leibniz_matches_leibniz_bracket_on_every_triple(spec):
+    e = check_left_leibniz(spec, max_len=2).entry("left-leibniz")
+    assert (None if e.passed else (e.witness, e.residual)) == reference_left_leibniz(spec, 2)
+
+
+def test_necklace_brackets_once_per_pair(monkeypatch):
+    seen = []
+    nb = brackets.necklace_bracket
+
+    def counted(spec, w1, w2):
+        seen.append((w1, w2))
+        return nb(spec, w1, w2)
+
+    monkeypatch.setattr(brackets, "necklace_bracket", counted)
+    spec = fx.f1_spec()
+    check_necklace_jacobi(spec, max_len=2)
+    # unmemoised, the check asks 669 times for these 36 pairs
+    words = [w for w in spec.algebra.words_up_to(2) if w]
+    assert len(seen) == len(set(seen)) == 36
+    assert set(seen) == set(itertools.product(words, words))

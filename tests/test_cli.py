@@ -159,6 +159,15 @@ def test_necklace_output(capsys):
     assert out.strip() == "[1]"
 
 
+@pytest.mark.parametrize("command", ["eval", "leibniz", "necklace"])
+def test_long_word_has_no_depth_limit(capsys, command):
+    # {{x, x}} = 0 in f1, so every bracket of x with a power of x vanishes;
+    # 3000 letters is past the default recursion limit of 1000
+    word = ".".join("x" * 3000)
+    code, out, err = run(capsys, command, FIXDIR / "f1.dbr", "--bracket", "B", "x", word)
+    assert (code, out, err) == (0, "0\n", "")
+
+
 # -- constructions --------------------------------------------------------
 
 

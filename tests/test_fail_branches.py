@@ -21,7 +21,7 @@ from dpoisson.brackets import (
     run_bracket_checks,
 )
 from dpoisson.calculus import koszul_square_check
-from dpoisson.core import Tensor3, tensor2
+from dpoisson.core import tensor2
 from dpoisson.dlr import DLRData, dlr_check
 from dpoisson.reports import CheckReport
 
@@ -84,15 +84,16 @@ def test_extension_order_misses_a_scaled_right_rule():
 def test_jacobi_cyclic_stability_fail_line(monkeypatch):
     # x (x) 1 (x) 1 added to the jacobiator of (x, y, y) only: its
     # rotation partner (y, x, y) stays zero
-    jac = brackets._jacobiator
+    orbit = brackets._orbit_jacobiators
 
-    def corrupted(spec, wa, wb, wc, *first_terms):
-        val = jac(spec, wa, wb, wc, *first_terms)
-        if (wa, wb, wc) == ((0,), (1,), (1,)):
-            val = val + Tensor3(spec.algebra, {((0,), (), ()): 1})
-        return val
+    def corrupted(spec, wa, wb, wc):
+        jacs = orbit(spec, wa, wb, wc)
+        for jac, t in zip(jacs, ((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
+            if t == ((0,), (1,), (1,)):
+                jac[((0,), (), ())] = jac.get(((0,), (), ()), 0) + 1
+        return jacs
 
-    monkeypatch.setattr(brackets, "_jacobiator", corrupted)
+    monkeypatch.setattr(brackets, "_orbit_jacobiators", corrupted)
     assert lines(check_double_jacobi(fx.f1_spec(), max_len=2)) == [
         "double-jacobi: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",
         "jacobi-cyclic-stability: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",
