@@ -150,36 +150,38 @@ class BracketSpec:
                 if r2 not in cache:
                     stack.append(r2)
                     continue
-                out = (self._left_rule if left else self._right_rule)(a, b, order)
+                out = (self._left_rule if left else self._right_rule)(a, b, cache[r1], cache[r2])
             cache[stack.pop()] = out
         return out
 
-    def _left_rule(self, w1: Word, w2: Word, order: str) -> Tensor2:
+    def _left_rule(self, w1: Word, w2: Word, tail: Tensor2, head: Tensor2) -> Tensor2:
+        """{{g u, w2}} from tail = {{u, w2}} and head = {{g, w2}}."""
         alg, r = self.algebra, self.shift.r
         deg = alg.degree
         g, u = w1[0], w1[1:]
         dg, du = deg((g,)), deg(u)
         terms: dict = {}
-        for (y1, y2), c in self.eval_words(u, w2, order).terms.items():
+        for (y1, y2), c in tail.terms.items():
             s = sign_exp(dg, deg(y1))
             key = (y1, (g,) + y2)
             terms[key] = terms.get(key, 0) + s * c
-        for (z1, z2), c in self.eval_words((g,), w2, order).terms.items():
+        for (z1, z2), c in head.terms.items():
             s = sign_exp(du, r + deg(w2)) * sign_exp(du, deg(z2))
             key = (z1 + u, z2)
             terms[key] = terms.get(key, 0) + s * c
         return Tensor2(alg, terms)
 
-    def _right_rule(self, w1: Word, w2: Word, order: str) -> Tensor2:
+    def _right_rule(self, w1: Word, w2: Word, head: Tensor2, tail: Tensor2) -> Tensor2:
+        """{{w1, h v}} from head = {{w1, h}} and tail = {{w1, v}}."""
         alg, r = self.algebra, self.shift.r
         deg = alg.degree
         h, v = w2[0], w2[1:]
         terms: dict = {}
-        for (p1, p2), c in self.eval_words(w1, (h,), order).terms.items():
+        for (p1, p2), c in head.terms.items():
             key = (p1, p2 + v)
             terms[key] = terms.get(key, 0) + c
         s0 = sign_exp(deg((h,)), r + deg(w1))
-        for (q1, q2), c in self.eval_words(w1, v, order).terms.items():
+        for (q1, q2), c in tail.terms.items():
             key = ((h,) + q1, q2)
             terms[key] = terms.get(key, 0) + s0 * c
         return Tensor2(alg, terms)

@@ -3,8 +3,8 @@
 Exit codes: 0 when every requested check passes (or a computation or
 construction succeeds), 1 when some axiom or equivalence check fails
 (including construction preconditions like feeding a non double Poisson
-bracket to koszul), 2 on input errors: missing files, parse errors,
-unknown names, malformed words.
+bracket to koszul), 2 on input errors: missing, unreadable or non-UTF-8
+files, parse errors, unknown names, malformed words.
 """
 
 from __future__ import annotations
@@ -34,23 +34,19 @@ class InputError(Exception):
 
 def _load(path: str) -> Document:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
     return parse_document(text)
 
 
-def _bracket(doc: Document, name: str) -> BracketSpec:
-    if name not in doc.brackets:
-        raise InputError(f"no bracket named '{name}'")
-    return doc.brackets[name]
-
-
-def _dlr(doc: Document, name: str):
-    if name not in doc.dlrs:
-        raise InputError(f"no dlr named '{name}'")
-    return doc.dlrs[name]
+def _named(table: dict, kind: str, name: str):
+    if name not in table:
+        raise InputError(f"no {kind} named '{name}'")
+    return table[name]
 
 
 def _word(spec: BracketSpec, text: str):
@@ -62,14 +58,13 @@ def _word(spec: BracketSpec, text: str):
         raise InputError(e.args[0])
 
 
-def _entry_field(doc: Document, kind: str, name: str, pos: int) -> str:
-    for e in doc.entries:
-        if e[0] == kind and e[1] == name:
-            return e[pos]
-    raise InputError(f"no {kind} named '{name}'")
-
-
-def _write_doc(doc: Document, path: str):
+def _write(path: str, algebra: str, shift, module: str, bimodule, kind: str, name: str, obj):
+    """Write an algebra, a bimodule over it, and one bracket or dlr block on
+    that bimodule."""
+    doc = Document()
+    doc.add("algebra", algebra, (bimodule.base, shift))
+    doc.add("bimodule", module, bimodule, algebra)
+    doc.add(kind, name, obj, module)
     try:
         with open(path, "w") as fh:
             fh.write(format_document(doc))
@@ -80,18 +75,14 @@ def _write_doc(doc: Document, path: str):
 def _cmd_check(args) -> int:
     doc = _load(args.file)
     reports = []
-    for name, spec in doc.brackets.items():
-        t0 = time.monotonic()
-        rep = run_bracket_checks(spec, max_len=args.max_len)
-        rep.wall_time = time.monotonic() - t0
-        rep.subject = f"bracket {name}"
-        reports.append(rep)
-    for name, data in doc.dlrs.items():
-        t0 = time.monotonic()
-        rep = dlr_check(data, max_len=args.max_len)
-        rep.wall_time = time.monotonic() - t0
-        rep.subject = f"dlr {name}"
-        reports.append(rep)
+    for kind, table, run in (("bracket", doc.brackets, run_bracket_checks),
+                             ("dlr", doc.dlrs, dlr_check)):
+        for name, obj in table.items():
+            t0 = time.monotonic()
+            rep = run(obj, max_len=args.max_len)
+            rep.wall_time = time.monotonic() - t0
+            rep.subject = f"{kind} {name}"
+            reports.append(rep)
     show_time = not args.no_time
     ok = all(r.ok for r in reports)
     if args.format == "json":
@@ -111,101 +102,72 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_eval(args) -> int:
-    doc = _load(args.file)
-    spec = _bracket(doc, args.bracket)
-    w1 = _word(spec, args.exprs[0])
-    w2 = _word(spec, args.exprs[1])
-    print(spec.eval_words(w1, w2).render())
-    return 0
+def _monomials(spec: BracketSpec, words) -> list:
+    return [spec.algebra.poly({w: 1}) for w in words]
 
 
-def _cmd_jacobiator(args) -> int:
-    doc = _load(args.file)
-    spec = _bracket(doc, args.bracket)
-    alg = spec.algebra
-    ps = [alg.poly({_word(spec, e): 1}) for e in args.exprs]
-    print(double_jacobiator(spec, *ps).render())
-    return 0
+# commands that evaluate a bracket on words:
+# name -> (help, metavar, number of words, rendered value of the parsed words)
+_WORD_COMMANDS = {
+    "eval": ("evaluate a bracket on two words", "EXPR", 2,
+             lambda spec, ws: spec.eval_words(*ws).render()),
+    "jacobiator": ("evaluate the double jacobiator on three words", "EXPR", 3,
+                   lambda spec, ws: double_jacobiator(spec, *_monomials(spec, ws)).render()),
+    "leibniz": ("evaluate the multiplied bracket on two words", "EXPR", 2,
+                lambda spec, ws: leibniz_bracket(spec, *_monomials(spec, ws)).render()),
+    "necklace": ("bracket of two cyclic word classes", "WORD", 2,
+                 lambda spec, ws: render_cyclic(spec.algebra, necklace_bracket(spec, *ws))),
+}
 
 
-def _cmd_leibniz(args) -> int:
-    doc = _load(args.file)
-    spec = _bracket(doc, args.bracket)
-    alg = spec.algebra
-    p1 = alg.poly({_word(spec, args.exprs[0]): 1})
-    p2 = alg.poly({_word(spec, args.exprs[1]): 1})
-    print(leibniz_bracket(spec, p1, p2).render())
-    return 0
-
-
-def _cmd_necklace(args) -> int:
-    doc = _load(args.file)
-    spec = _bracket(doc, args.bracket)
-    w1 = _word(spec, args.words[0])
-    w2 = _word(spec, args.words[1])
+def _cmd_words(args) -> int:
+    spec = _named(_load(args.file).brackets, "bracket", args.bracket)
+    words = [_word(spec, text) for text in args.words]
     try:
-        out = necklace_bracket(spec, w1, w2)
+        out = args.evaluate(spec, words)
     except ValueError as e:
         raise InputError(str(e))
-    print(render_cyclic(spec.algebra, out))
+    print(out)
     return 0
 
 
 def _cmd_koszul(args) -> int:
     doc = _load(args.file)
-    spec = _bracket(doc, args.bracket)
-    on = _entry_field(doc, "bracket", args.bracket, 2)
+    spec = _named(doc.brackets, "bracket", args.bracket)
     try:
         data = koszul_bracket(spec)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    out = Document()
-    out.add_algebra(on, spec.algebra, spec.shift)
-    omega_name = f"omega_{on}"
-    out.add_bimodule(omega_name, data.bimodule, on)
-    out.add_dlr(f"koszul_{args.bracket}", data, omega_name)
-    _write_doc(out, args.output)
+    on = doc.ref(args.bracket)
+    _write(args.output, on, spec.shift, f"omega_{on}", data.bimodule,
+           "dlr", f"koszul_{args.bracket}", data)
     return 0
 
 
 def _cmd_sn(args) -> int:
-    doc = _load(args.file)
-    if args.algebra not in doc.algebras:
-        raise InputError(f"no algebra named '{args.algebra}'")
-    alg, shift = doc.algebras[args.algebra]
+    alg, shift = _named(_load(args.file).algebras, "algebra", args.algebra)
     try:
         spec = sn_bracket(alg, shift)
     except (RuntimeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    out = Document()
-    out.add_algebra(args.algebra, alg, shift)
-    der_name = f"der_{args.algebra}"
-    out.add_bimodule(der_name, DerPresentation(alg, shift).bimodule, args.algebra)
-    out.add_bracket(f"sn_{args.algebra}", spec, der_name)
-    _write_doc(out, args.output)
+    _write(args.output, args.algebra, shift, f"der_{args.algebra}",
+           DerPresentation(alg, shift).bimodule, "bracket", f"sn_{args.algebra}", spec)
     return 0
 
 
 def _cmd_shift(args) -> int:
     doc = _load(args.file)
-    data = _dlr(doc, args.dlr)
-    module_name = _entry_field(doc, "dlr", args.dlr, 2)
-    over_name = _entry_field(doc, "bimodule", module_name, 2)
-    shifted = shift_dlr(data, args.delta)
-    out = Document()
-    out.add_algebra(over_name, shifted.bimodule.base, shifted.shift)
-    out.add_bimodule(module_name, shifted.bimodule, over_name)
-    out.add_dlr(args.dlr, shifted, module_name)
-    _write_doc(out, args.output)
+    shifted = shift_dlr(_named(doc.dlrs, "dlr", args.dlr), args.delta)
+    module = doc.ref(args.dlr)
+    _write(args.output, doc.ref(module), shifted.shift, module, shifted.bimodule,
+           "dlr", args.dlr, shifted)
     return 0
 
 
 def _cmd_verify_shift(args) -> int:
-    doc = _load(args.file)
-    data = _dlr(doc, args.dlr)
+    data = _named(_load(args.file).dlrs, "dlr", args.dlr)
     rep = verify_shift_equivalence(data, args.delta, args.max_len)
     print(rep.render())
     return 0 if rep.ok else 1
@@ -224,79 +186,58 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
         return n
 
-    def with_maxlen(sp):
-        sp.add_argument("--max-len", type=positive_int, default=3, metavar="N",
-                        help="word length bound for checks, at least 1 (default 3)")
+    def command(name, func, summary, *, named=None, delta=False, max_len=False, output=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("file")
+        if named:
+            sp.add_argument(f"--{named}", required=True)
+        if delta:
+            sp.add_argument("--delta", type=int, required=True)
+        if max_len:
+            sp.add_argument("--max-len", type=positive_int, default=3, metavar="N",
+                            help="word length bound for checks, at least 1 (default 3)")
+        if output:
+            sp.add_argument("-o", "--output", required=True)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("check", help="run the axiom suites on every bracket and dlr")
-    sp.add_argument("file")
-    with_maxlen(sp)
+    sp = command("check", _cmd_check, "run the axiom suites on every bracket and dlr",
+                 max_len=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--no-time", action="store_true",
                     help="omit wall-time lines (for reproducible output)")
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("eval", help="evaluate a bracket on two words")
-    sp.add_argument("file")
-    sp.add_argument("--bracket", required=True)
-    sp.add_argument("exprs", nargs=2, metavar="EXPR")
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("jacobiator", help="evaluate the double jacobiator on three words")
-    sp.add_argument("file")
-    sp.add_argument("--bracket", required=True)
-    sp.add_argument("exprs", nargs=3, metavar="EXPR")
-    sp.set_defaults(func=_cmd_jacobiator)
-
-    sp = sub.add_parser("leibniz", help="evaluate the multiplied bracket on two words")
-    sp.add_argument("file")
-    sp.add_argument("--bracket", required=True)
-    sp.add_argument("exprs", nargs=2, metavar="EXPR")
-    sp.set_defaults(func=_cmd_leibniz)
-
-    sp = sub.add_parser("necklace", help="bracket of two cyclic word classes")
-    sp.add_argument("file")
-    sp.add_argument("--bracket", required=True)
-    sp.add_argument("words", nargs=2, metavar="WORD")
-    sp.set_defaults(func=_cmd_necklace)
-
-    sp = sub.add_parser("koszul", help="write the form calculus of a double Poisson bracket")
-    sp.add_argument("file")
-    sp.add_argument("--bracket", required=True)
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_koszul)
-
-    sp = sub.add_parser("sn", help="write the double derivation bracket of an algebra")
-    sp.add_argument("file")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_sn)
-
-    sp = sub.add_parser("shift", help="write the degree-shifted dlr data")
-    sp.add_argument("file")
-    sp.add_argument("--dlr", required=True)
-    sp.add_argument("--delta", type=int, required=True)
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_shift)
-
-    sp = sub.add_parser("verify-shift",
-                        help="per-axiom verdict agreement between data and its shift")
-    sp.add_argument("file")
-    sp.add_argument("--dlr", required=True)
-    sp.add_argument("--delta", type=int, required=True)
-    with_maxlen(sp)
-    sp.set_defaults(func=_cmd_verify_shift)
-
+    for name, (summary, metavar, count, evaluate) in _WORD_COMMANDS.items():
+        sp = command(name, _cmd_words, summary, named="bracket")
+        sp.add_argument("words", nargs=count, metavar=metavar)
+        sp.set_defaults(evaluate=evaluate)
+    command("koszul", _cmd_koszul, "write the form calculus of a double Poisson bracket",
+            named="bracket", output=True)
+    command("sn", _cmd_sn, "write the double derivation bracket of an algebra",
+            named="algebra", output=True)
+    command("shift", _cmd_shift, "write the degree-shifted dlr data",
+            named="dlr", delta=True, output=True)
+    command("verify-shift", _cmd_verify_shift,
+            "per-axiom verdict agreement between data and its shift",
+            named="dlr", delta=True, max_len=True)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # output is exact, so integers of any length are read and printed; the
+    # interpreter's int/str digit limit (Python >= 3.10.7) is lifted for
+    # this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InputError, DocumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

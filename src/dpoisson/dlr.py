@@ -486,6 +486,18 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
 # -- linear bracket correspondence ---------------------------------------
 
 
+def split_components(alg: FreeAlgebra, val: Tensor2) -> Tuple[Tensor2, Tensor2]:
+    """The M (x) A and A (x) M components of a module-bracket value: each
+    term goes to the half whose leg holds its one module letter."""
+    halves: Tuple[dict, dict] = ({}, {})
+    for (u, v), c in val.terms.items():
+        wu, wv = alg.weight(u), alg.weight(v)
+        if wu + wv != 1:
+            raise ValueError("each bracket term carries exactly one module letter")
+        halves[wv][(u, v)] = c
+    return Tensor2(alg, halves[0]), Tensor2(alg, halves[1])
+
+
 def dlr_to_linear(d: DLRData) -> BracketSpec:
     """Assemble the bracket table of T_A(M): zero on base pairs, the anchor
     on (module, base) pairs, the merged components on module pairs."""
@@ -511,13 +523,7 @@ def linear_to_dlr(spec: BracketSpec, bimodule: BimoduleSpec) -> DLRData:
     for (i, j), val in spec.table.items():
         mi, mj = alg.is_module(i), alg.is_module(j)
         if mi and mj:
-            lt, rt = {}, {}
-            for (u, v), c in val.terms.items():
-                if alg.weight(u) == 1:
-                    lt[(u, v)] = c
-                else:
-                    rt[(u, v)] = c
-            mbracket[(i, j)] = (Tensor2(alg, lt), Tensor2(alg, rt))
+            mbracket[(i, j)] = split_components(alg, val)
         elif mi:
             anchor[(i, j)] = val
         elif mj:

@@ -42,7 +42,7 @@ from .core import (
     render_terms,
 )
 from .brackets import BracketSpec
-from .dlr import BimoduleSpec, DLRData
+from .dlr import BimoduleSpec, DLRData, split_components
 
 
 class DocumentError(Exception):
@@ -114,47 +114,42 @@ def tokenize(text: str) -> List[Token]:
 
 
 class Document:
-    """Ordered named objects built from one source text."""
+    """Ordered named objects built from one source text.
+
+    Each block is stored under its name in the table of its kind; a
+    bimodule, bracket or dlr block also names the block it refers to (its
+    `over`, `on` or `module`)."""
 
     def __init__(self):
-        self.entries: List[Tuple] = []
         self.algebras: Dict[str, Tuple[FreeAlgebra, ShiftContext]] = {}
         self.bimodules: Dict[str, BimoduleSpec] = {}
         self.brackets: Dict[str, BracketSpec] = {}
         self.dlrs: Dict[str, DLRData] = {}
-        self._names = set()
+        self._blocks: Dict[str, Tuple[str, Optional[str]]] = {}
 
-    def _claim(self, name: str):
-        if name in self._names:
+    @property
+    def entries(self) -> List[Tuple]:
+        """(kind, name) or (kind, name, reference) per block, in order."""
+        return [(kind, name) if ref is None else (kind, name, ref)
+                for name, (kind, ref) in self._blocks.items()]
+
+    def add(self, kind: str, name: str, obj, ref: Optional[str] = None):
+        if name in self._blocks:
             raise DocumentError(f"duplicate name '{name}'")
-        self._names.add(name)
+        tables = {"algebra": self.algebras, "bimodule": self.bimodules,
+                  "bracket": self.brackets, "dlr": self.dlrs}
+        tables[kind][name] = obj
+        self._blocks[name] = (kind, ref)
 
-    def add_algebra(self, name: str, alg: FreeAlgebra, shift: ShiftContext):
-        self._claim(name)
-        self.algebras[name] = (alg, shift)
-        self.entries.append(("algebra", name))
-
-    def add_bimodule(self, name: str, bm: BimoduleSpec, over: str):
-        self._claim(name)
-        self.bimodules[name] = bm
-        self.entries.append(("bimodule", name, over))
-
-    def add_bracket(self, name: str, spec: BracketSpec, on: str):
-        self._claim(name)
-        self.brackets[name] = spec
-        self.entries.append(("bracket", name, on))
-
-    def add_dlr(self, name: str, data: DLRData, module: str):
-        self._claim(name)
-        self.dlrs[name] = data
-        self.entries.append(("dlr", name, module))
+    def ref(self, name: str) -> str:
+        """The name the block `name` refers to."""
+        return self._blocks[name][1]
 
     def shift_of(self, name: str) -> ShiftContext:
         """Shift context attached to an algebra or bimodule target name."""
         if name in self.algebras:
             return self.algebras[name][1]
-        over = next(e[2] for e in self.entries if e[0] == "bimodule" and e[1] == name)
-        return self.algebras[over][1]
+        return self.algebras[self.ref(name)][1]
 
     def __eq__(self, other):
         return (
@@ -224,17 +219,10 @@ class _Parser:
                 raise DocumentError("a word is '1' or dotted generator names", t.line, t.col)
             self.advance()
             return ()
-        letters = []
-        while True:
-            t = self.expect("ident")
-            try:
-                letters.append(alg.index(t.value))
-            except KeyError:
-                raise DocumentError(f"unknown generator '{t.value}'", t.line, t.col)
-            if self.peek().kind == ".":
-                self.advance()
-                continue
-            break
+        letters = [_index(alg, self.expect("ident"))]
+        while self.peek().kind == ".":
+            self.advance()
+            letters.append(_index(alg, self.expect("ident")))
         return tuple(letters)
 
     def tensor2_value(self, alg: FreeAlgebra) -> Tensor2:
@@ -264,9 +252,9 @@ class _Parser:
             break
         return Tensor2(alg, add_into({}, terms))
 
-    def rules(self, alg: FreeAlgebra):
-        """Bracket-style rules up to the closing brace; yields position
-        info for later error attribution."""
+    def rules(self, alg: FreeAlgebra) -> list:
+        """'{' rule* '}' as (generator-index pair, value, '[' token)."""
+        self.expect("{")
         out = []
         while self.peek().kind == "[":
             t0 = self.advance()
@@ -275,37 +263,25 @@ class _Parser:
             g2 = self.expect("ident")
             self.expect("]")
             self.expect("=")
-            for g in (g1, g2):
-                try:
-                    alg.index(g.value)
-                except KeyError:
-                    raise DocumentError(f"unknown generator '{g.value}'", g.line, g.col)
-            val = self.tensor2_value(alg)
-            out.append((g1.value, g2.value, val, t0.line, t0.col))
+            key = (_index(alg, g1), _index(alg, g2))
+            out.append((key, self.tensor2_value(alg), t0))
+        self.expect("}")
         return out
 
     def document(self) -> Document:
         doc = Document()
+        blocks = {"algebra": self._algebra, "bimodule": self._bimodule,
+                  "bracket": self._bracket, "dlr": self._dlr}
         while self.peek().kind != "eof":
             t = self.peek()
             if t.kind != "ident":
                 raise DocumentError(
                     f"expected a block keyword, got {t.value or t.kind!r}", t.line, t.col
                 )
-            if t.value == "algebra":
-                self.advance()
-                self._algebra(doc)
-            elif t.value == "bimodule":
-                self.advance()
-                self._bimodule(doc)
-            elif t.value == "bracket":
-                self.advance()
-                self._bracket(doc)
-            elif t.value == "dlr":
-                self.advance()
-                self._dlr(doc)
-            else:
+            if t.value not in blocks:
                 raise DocumentError(f"unknown block kind '{t.value}'", t.line, t.col)
+            self.advance()
+            blocks[t.value](doc)
         return doc
 
     def _algebra(self, doc: Document):
@@ -320,7 +296,7 @@ class _Parser:
         self.expect("}")
         alg = FreeAlgebra(tuple(Generator(n, d) for n, d in gens))
         try:
-            doc.add_algebra(name.value, alg, ShiftContext(r))
+            doc.add("algebra", name.value, (alg, ShiftContext(r)))
         except DocumentError as e:
             raise DocumentError(str(e), name.line, name.col)
 
@@ -340,7 +316,7 @@ class _Parser:
             bm = BimoduleSpec(
                 base, [Generator(n, d, Colour.MODULE) for n, d in gens]
             )
-            doc.add_bimodule(name.value, bm, over.value)
+            doc.add("bimodule", name.value, bm, over.value)
         except (ValueError, DocumentError) as e:
             raise DocumentError(str(e), name.line, name.col)
 
@@ -356,21 +332,13 @@ class _Parser:
         self.expect("ident", "on")
         on = self.expect("ident")
         alg = self._target(doc, on)
-        shift = doc.shift_of(on.value)
-        t0 = self.expect("{")
-        rules = self.rules(alg)
-        self.expect("}")
-        table: dict = {}
-        for g1, g2, val, ln, cl in rules:
-            key = (g1, g2)
-            if key in table:
-                raise DocumentError(f"duplicate rule [{g1}, {g2}]", ln, cl)
-            table[key] = val
+        t0 = self.peek()
+        table = _rule_table(alg, self.rules(alg))
         try:
-            spec = BracketSpec(alg, shift, table)
+            spec = BracketSpec(alg, doc.shift_of(on.value), table)
         except ValueError as e:
             raise DocumentError(str(e), t0.line, t0.col)
-        doc.add_bracket(name.value, spec, on.value)
+        doc.add("bracket", name.value, spec, on.value)
 
     def _dlr(self, doc: Document):
         name = self.expect("ident")
@@ -382,53 +350,53 @@ class _Parser:
             raise DocumentError(f"unknown bimodule '{mod.value}'", mod.line, mod.col)
         bm = doc.bimodules[mod.value]
         alg = bm.ambient
-        shift = doc.shift_of(mod.value)
         self.expect("ident", "anchor")
-        self.expect("{")
         anchor_rules = self.rules(alg)
-        self.expect("}")
         self.expect("ident", "bracket")
-        t0 = self.expect("{")
+        t0 = self.peek()
         bracket_rules = self.rules(alg)
         self.expect("}")
-        self.expect("}")
 
-        anchor: dict = {}
-        for g1, g2, val, ln, cl in anchor_rules:
-            i, j = alg.index(g1), alg.index(g2)
+        def anchor_rule(i, j, val):
             if not alg.is_module(i) or alg.is_module(j):
-                raise DocumentError(
-                    "anchor rules pair a module generator with a base generator", ln, cl
-                )
-            if (i, j) in anchor:
-                raise DocumentError(f"duplicate rule [{g1}, {g2}]", ln, cl)
-            anchor[(i, j)] = val
-        mbracket: dict = {}
-        for g1, g2, val, ln, cl in bracket_rules:
-            i, j = alg.index(g1), alg.index(g2)
+                raise ValueError("anchor rules pair a module generator with a base generator")
+            return val
+
+        def bracket_rule(i, j, val):
             if not (alg.is_module(i) and alg.is_module(j)):
-                raise DocumentError(
-                    "bracket rules pair two module generators", ln, cl
-                )
-            if (i, j) in mbracket:
-                raise DocumentError(f"duplicate rule [{g1}, {g2}]", ln, cl)
-            lt, rt = {}, {}
-            for (u, v), c in val.terms.items():
-                wu, wv = alg.weight(u), alg.weight(v)
-                if (wu, wv) == (1, 0):
-                    lt[(u, v)] = c
-                elif (wu, wv) == (0, 1):
-                    rt[(u, v)] = c
-                else:
-                    raise DocumentError(
-                        "each bracket term carries exactly one module letter", ln, cl
-                    )
-            mbracket[(i, j)] = (Tensor2(alg, lt), Tensor2(alg, rt))
+                raise ValueError("bracket rules pair two module generators")
+            return split_components(alg, val)
+
+        anchor = _rule_table(alg, anchor_rules, anchor_rule)
+        mbracket = _rule_table(alg, bracket_rules, bracket_rule)
         try:
-            data = DLRData(bm, shift, anchor, mbracket)
+            data = DLRData(bm, doc.shift_of(mod.value), anchor, mbracket)
         except ValueError as e:
             raise DocumentError(str(e), t0.line, t0.col)
-        doc.add_dlr(name.value, data, mod.value)
+        doc.add("dlr", name.value, data, mod.value)
+
+
+def _rule_table(alg: FreeAlgebra, rules: list, entry=None) -> dict:
+    """The rules read by _Parser.rules as one table, judged only once the
+    whole block is read.  entry(i, j, value), when given, returns what the
+    table stores or raises ValueError; every error points at its rule."""
+    out: dict = {}
+    for (i, j), val, t in rules:
+        if (i, j) in out:
+            raise DocumentError(
+                f"duplicate rule [{alg.gens[i].name}, {alg.gens[j].name}]", t.line, t.col)
+        try:
+            out[(i, j)] = val if entry is None else entry(i, j, val)
+        except ValueError as e:
+            raise DocumentError(str(e), t.line, t.col) from None
+    return out
+
+
+def _index(alg: FreeAlgebra, tok: Token) -> int:
+    try:
+        return alg.index(tok.value)
+    except KeyError:
+        raise DocumentError(f"unknown generator '{tok.value}'", tok.line, tok.col) from None
 
 
 def parse_document(text: str) -> Document:
@@ -445,21 +413,22 @@ def _fmt_genlist(gens) -> str:
     return f"[ {inner} ]"
 
 
-def _fmt_rules(alg: FreeAlgebra, table: Dict[tuple, Tensor2], indent: str) -> List[str]:
-    lines = []
+def _fmt_rules(head: str, alg: FreeAlgebra, table: Dict[tuple, Tensor2],
+               indent: str) -> str:
+    """`head { rules }` at indent, one rule a line in sorted key order."""
+    lines = [f"{indent}{head} {{"]
     for (i, j) in sorted(table):
-        val = table[(i, j)]
         lines.append(
-            f"{indent}[{alg.gens[i].name}, {alg.gens[j].name}] = "
-            f"{render_terms(alg, val.terms, 2)}"
+            f"{indent}  [{alg.gens[i].name}, {alg.gens[j].name}] = "
+            f"{render_terms(alg, table[(i, j)].terms, 2)}"
         )
-    return lines
+    lines.append(f"{indent}}}")
+    return "\n".join(lines)
 
 
 def format_document(doc: Document) -> str:
     blocks: List[str] = []
-    for entry in doc.entries:
-        kind, name = entry[0], entry[1]
+    for name, (kind, ref) in doc._blocks.items():
         if kind == "algebra":
             alg, shift = doc.algebras[name]
             blocks.append(
@@ -469,38 +438,23 @@ def format_document(doc: Document) -> str:
                 f"}}"
             )
         elif kind == "bimodule":
-            bm = doc.bimodules[name]
             blocks.append(
-                f"bimodule {name} over {entry[2]} {{\n"
-                f"  gens = {_fmt_genlist(bm.mgens)}\n"
+                f"bimodule {name} over {ref} {{\n"
+                f"  gens = {_fmt_genlist(doc.bimodules[name].mgens)}\n"
                 f"}}"
             )
         elif kind == "bracket":
             spec = doc.brackets[name]
-            lines = _fmt_rules(spec.algebra, spec.table, "  ")
-            body = "\n".join(lines)
-            blocks.append(
-                f"bracket {name} on {entry[2]} {{\n"
-                + (body + "\n" if body else "")
-                + "}"
-            )
-        elif kind == "dlr":
+            blocks.append(_fmt_rules(f"bracket {name} on {ref}", spec.algebra, spec.table, ""))
+        else:
             data = doc.dlrs[name]
             alg = data.bimodule.ambient
             merged = {k: l + r for k, (l, r) in data.mbracket.items()}
-            anchor_lines = _fmt_rules(alg, data.anchor, "    ")
-            bracket_lines = _fmt_rules(alg, merged, "    ")
-            a_body = "\n".join(anchor_lines)
-            b_body = "\n".join(bracket_lines)
-            blocks.append(
-                f"dlr {name} {{\n"
-                f"  module = {entry[2]}\n"
-                "  anchor {\n"
-                + (a_body + "\n" if a_body else "")
-                + "  }\n"
-                "  bracket {\n"
-                + (b_body + "\n" if b_body else "")
-                + "  }\n"
-                "}"
-            )
+            blocks.append("\n".join([
+                f"dlr {name} {{",
+                f"  module = {ref}",
+                _fmt_rules("anchor", alg, data.anchor, "  "),
+                _fmt_rules("bracket", alg, merged, "  "),
+                "}",
+            ]))
     return "\n\n".join(blocks) + "\n"

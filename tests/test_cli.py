@@ -1,8 +1,12 @@
 """Command line driver: exit codes, rendered output, document emission."""
 
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpoisson.cli import main
 from dpoisson.textio import format_document, parse_document
@@ -106,6 +110,97 @@ def test_check_empty_document(capsys, tmp_path):
     code, out, _ = run(capsys, "check", p)
     assert code == 0
     assert "nothing to check" in out
+
+
+def test_check_non_utf8_file_exits_two(capsys, tmp_path):
+    p = tmp_path / "bytes.dbr"
+    p.write_bytes(b"\xff\xfe algebra A {\n}\n")
+    code, out, err = run(capsys, "check", p)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {p}: not UTF-8 (invalid start byte at byte 0)\n"
+
+
+# past the interpreter's default limit of 4300 digits for int <-> str
+BIG = "1" + "0" * 4999
+DLR_DOC = (
+    "algebra A {{\n  shift = {r}\n  gens = [ x:0 ]\n}}\n\n"
+    "bimodule M over A {{\n  gens = [ m:{d} ]\n}}\n\n"
+    "dlr D {{\n  module = M\n  anchor {{\n{anchor}  }}\n  bracket {{\n  }}\n}}\n"
+)
+
+
+@pytest.mark.parametrize("text", [
+    DLR_DOC.format(r=BIG, d=0, anchor=""),
+    DLR_DOC.format(r=0, d=BIG, anchor=""),
+    DLR_DOC.format(r=0, d=0, anchor=f"    [m, x] = {BIG} * x (*) 1\n"),
+], ids=["shift", "degree", "coefficient"])
+def test_big_integers_round_trip(capsys, tmp_path, text):
+    src, out_path = tmp_path / "big.dbr", tmp_path / "out.dbr"
+    src.write_text(text)
+    code, out, err = run(capsys, "shift", src, "--dlr", "D", "--delta", "0", "-o", out_path)
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == text
+
+
+def test_big_coefficients_render_exactly(capsys, tmp_path):
+    p = tmp_path / "big.dbr"
+    p.write_text("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\n"
+                 f"bracket B on A {{\n  [x, y] = {'9' * 3000} * x (*) y\n}}\n")
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"  # (10**3000 - 1)**2
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "check", p, "--max-len", "1", "--no-time")
+    assert (code, err) == (1, "")
+    assert f"double-jacobi: FAIL at (x, x, y)  residual: - {square} * x (*) x (*) y\n" in out
+    assert f"left-leibniz: FAIL at (x, y, x)  residual: - {square} * x.y.x + {square} * y.x.x\n" in out
+    code, out, err = run(capsys, "jacobiator", p, "--bracket", "B", "x", "x", "y")
+    assert (code, out, err) == (0, f"- {square} * x (*) x (*) y\n", "")
+    # the process-wide limit is lifted for the run only
+    assert sys.get_int_max_str_digits() == limit
+
+
+# -- fuzz: any file ends in exit 0, 1 or 2, never a traceback --------------
+
+
+CORPUS = [p.read_text() for p in sorted(FIXDIR.glob("*.dbr"))]
+TOKENS = ["algebra", "bimodule", "bracket", "dlr", "A", "M", "B", "x", "y", "m", "dx", "over",
+          "on", "module", "anchor", "shift", "gens", "=", "{", "}", "[", "]", ",", ":", ".",
+          "+", "-", "*", "(*)", "1", "0", "2", "-1", "1/2", "1/0", "x.y", "\n", "#", "@"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus document with a few slices deleted, tokens inserted or
+    slices copied."""
+    text = draw(st.sampled_from(CORPUS))
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = sorted(draw(st.tuples(st.integers(0, len(text)), st.integers(0, len(text)))))
+        edit = draw(st.sampled_from(["delete", "insert", "copy"]))
+        if edit == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 8)):]
+        elif edit == "insert":
+            text = text[:i] + f" {draw(st.sampled_from(TOKENS))} " + text[i:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text.encode()
+
+
+token_soup = st.lists(st.sampled_from(TOKENS), max_size=40).map(lambda ts: " ".join(ts).encode())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(mutated_documents(), token_soup, st.binary(max_size=40)))
+def test_check_contract_on_any_file(tmp_path, data):
+    p = tmp_path / "fuzz.dbr"
+    p.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(p), "--max-len", "1"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""
 
 
 # -- evaluation commands --------------------------------------------------

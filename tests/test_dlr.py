@@ -4,6 +4,7 @@ checker, conversion to and from plain brackets, and product tables."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpoisson import fixtures as fx
 from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
@@ -204,6 +205,49 @@ def test_dual_route_verdicts_agree():
         gen = run_bracket_checks(spec, max_len=3, necklace=False)
         generic = gen.entry("antisymmetry").passed and gen.entry("double-jacobi").passed
         assert own == generic, name
+
+
+@st.composite
+def graded_dlr_data(draw):
+    """Base generators x(, y) and module generators m, n of degree 0 or 1,
+    shift -2..1, small integer coefficients on legs of length <= 2.  The
+    module bracket has the off-diagonal [m, n] rule only, so every [n, m]
+    value comes from its antisymmetry partner."""
+    bdeg = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    mdeg = draw(st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    bm = BimoduleSpec(FreeAlgebra(tuple(Generator(g, d) for g, d in zip("xy", bdeg))),
+                      [Generator(g, d) for g, d in zip("mn", mdeg)])
+    amb = bm.ambient
+    r = draw(st.integers(-2, 1))
+    base, module = list(bm.base_words(2)), list(bm.module_words(2))
+
+    def value(i, j, left, right):
+        want = amb.gens[i].degree + amb.gens[j].degree + r
+        keys = [(u, v) for u in left for v in right if amb.degree(u) + amb.degree(v) == want]
+        if not keys:
+            return Tensor2(amb, {})
+        return Tensor2(amb, draw(st.dictionaries(st.sampled_from(keys), st.integers(-2, 2),
+                                                 max_size=3)))
+
+    anchor = {(i, j): value(i, j, base, base)
+              for i in amb.module_indices for j in amb.base_indices}
+    m, n = amb.module_indices
+    mbracket = {(m, n): (value(m, n, module, base), value(m, n, base, module))}
+    return DLRData(bm, ShiftContext(r), anchor, mbracket)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graded_dlr_data())
+def test_dlr_evaluators_match_the_linear_bracket(d):
+    # the dlr.py evaluators against BracketSpec.eval_words on the merged table
+    spec = dlr_to_linear(d)
+    mwords, bwords = list(d.bimodule.module_words(3)), list(d.bimodule.base_words(3))
+    for w1 in mwords:
+        for w2 in mwords:
+            l, r = d.mb_eval(w1, w2)
+            assert l + r == spec.eval_words(w1, w2)
+        for wa in bwords:
+            assert d.anchor_eval(w1, wa) == spec.eval_words(w1, wa)
 
 
 def test_linear_to_dlr_rejects_higher_terms():

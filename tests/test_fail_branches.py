@@ -64,8 +64,8 @@ def test_extension_order_fail_line():
 class RightRuleScaled(BracketSpec):
     """f1 whose right rule is doubled, in both expansion orders."""
 
-    def _right_rule(self, w1, w2, order):
-        return super()._right_rule(w1, w2, order).scale(2)
+    def _right_rule(self, w1, w2, head, tail):
+        return super()._right_rule(w1, w2, head, tail).scale(2)
 
 
 def test_extension_order_misses_a_scaled_right_rule():

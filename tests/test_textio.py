@@ -69,6 +69,17 @@ def test_fraction_coefficients_round_trip():
     assert "[x, x]" not in out
 
 
+def test_dotted_words_round_trip():
+    src = (
+        "algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\n\n"
+        "bracket B on A {\n  [x, y] = 2 * x.y (*) 1 - 1 (*) y.x + 1/2 * x (*) y.y\n}\n"
+    )
+    doc = parse_document(src)
+    out = format_document(doc)
+    assert "  [x, y] = - 1 (*) y.x + 1/2 * x (*) y.y + 2 * x.y (*) 1\n" in out
+    assert parse_document(out) == doc
+
+
 def test_dlr_rule_splits_by_leg_weight():
     text = (FIXDIR / "koszul_f2.dbr").read_text()
     doc = parse_document(text)
@@ -119,6 +130,25 @@ ERRORS = [
     ("algebra A {\n", "line 2, col 1: expected 'shift', got 'eof'"),
     ("algebra A {\n  shift = 0\n  gens = [ x:0 ]\n}\nbracket B in A {\n}\n",
      "line 5, col 11: expected 'on', got 'in'"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\nbracket B on A {\n"
+     "  [x, y] = x.z (*) 1\n}\n",
+     "line 6, col 14: unknown generator 'z'"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\nbracket B on A {\n"
+     "  [x, y] = 2 (*) 1\n}\n",
+     "line 6, col 12: a word is '1' or dotted generator names"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\nbracket B on A {\n"
+     "  [x, y] = x. (*) 1\n}\n",
+     "line 6, col 15: expected 'ident', got '(*)'"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0 ]\n}\n"
+     "bimodule M over A {\n  gens = [ m:0 ]\n}\n"
+     "dlr D {\n  module = M\n  anchor {\n    [m, x] = x (*) 1\n    [m, x] = 1 (*) x\n"
+     "  }\n  bracket {\n  }\n}\n",
+     "line 12, col 5: duplicate rule [m, x]"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0 ]\n}\n"
+     "bimodule M over A {\n  gens = [ m:0 ]\n}\n"
+     "dlr D {\n  module = M\n  anchor {\n  }\n  bracket {\n"
+     "    [m, m] = m (*) 1\n    [m, m] = 1 (*) m\n  }\n}\n",
+     "line 14, col 5: duplicate rule [m, m]"),
 ]
 
 
