@@ -6,15 +6,15 @@ expansion orders (first slot first, or second slot first) are implemented so
 their agreement can be verified rather than assumed.
 
 Sign conventions (one suspension symbol of degree r on each slot, one on the
-output):
+output).  The rules are written with the two actions of `core` on A (x) A:
+the outer action p Y q and the inner action p * Y * q, which carries its
+own Koszul sign; the signs written below are those of the rules.
 
   left rule, splitting the first slot at its first letter g, w1 = g u:
-    {{g u, c}} = sum (-1)^(|g||Y'|) Y' (x) g Y''            Y = {{u, c}}
-               + sum (-1)^(|u|(r+|c|) + |u||Z''|) Z' u (x) Z''   Z = {{g, c}}
+    {{g u, c}} = g * {{u, c}} + (-1)^(|u|(r+|c|)) {{g, c}} * u
 
   right rule, splitting the second slot at its first letter h, w2 = h v:
-    {{a, h v}} = sum {{a,h}}' (x) {{a,h}}'' v
-               + sum (-1)^(|h|(r+|a|)) h {{a,v}}' (x) {{a,v}}''
+    {{a, h v}} = {{a, h}} v + (-1)^(|h|(r+|a|)) h {{a, v}}
 
   antisymmetry: {{a,b}} = -(-1)^((r+|a|)(r+|b|)) tau({{b,a}}) where tau is
   the signed leg swap u (x) v -> (-1)^(|u||v|) v (x) u.
@@ -37,6 +37,8 @@ from .core import (
     _clean,
     add_into,
     cyclic_class,
+    inner,
+    outer,
     render_terms,
     sign_exp,
 )
@@ -155,36 +157,22 @@ class BracketSpec:
         return out
 
     def _left_rule(self, w1: Word, w2: Word, tail: Tensor2, head: Tensor2) -> Tensor2:
-        """{{g u, w2}} from tail = {{u, w2}} and head = {{g, w2}}."""
-        alg, r = self.algebra, self.shift.r
-        deg = alg.degree
-        g, u = w1[0], w1[1:]
-        dg, du = deg((g,)), deg(u)
-        terms: dict = {}
-        for (y1, y2), c in tail.terms.items():
-            s = sign_exp(dg, deg(y1))
-            key = (y1, (g,) + y2)
-            terms[key] = terms.get(key, 0) + s * c
-        for (z1, z2), c in head.terms.items():
-            s = sign_exp(du, r + deg(w2)) * sign_exp(du, deg(z2))
-            key = (z1 + u, z2)
-            terms[key] = terms.get(key, 0) + s * c
-        return Tensor2(alg, terms)
+        """{{g u, w2}} = g * tail + (-1)^(|u|(r+|w2|)) head * u, from
+        tail = {{u, w2}} and head = {{g, w2}}."""
+        deg = self.algebra.degree
+        g, u = w1[:1], w1[1:]
+        terms = inner({}, tail, p=g)
+        return Tensor2(self.algebra, inner(terms, head, q=u,
+                                          c=sign_exp(deg(u), self.shift.r + deg(w2))))
 
     def _right_rule(self, w1: Word, w2: Word, head: Tensor2, tail: Tensor2) -> Tensor2:
-        """{{w1, h v}} from head = {{w1, h}} and tail = {{w1, v}}."""
-        alg, r = self.algebra, self.shift.r
-        deg = alg.degree
-        h, v = w2[0], w2[1:]
-        terms: dict = {}
-        for (p1, p2), c in head.terms.items():
-            key = (p1, p2 + v)
-            terms[key] = terms.get(key, 0) + c
-        s0 = sign_exp(deg((h,)), r + deg(w1))
-        for (q1, q2), c in tail.terms.items():
-            key = ((h,) + q1, q2)
-            terms[key] = terms.get(key, 0) + s0 * c
-        return Tensor2(alg, terms)
+        """{{w1, h v}} = head v + (-1)^(|h|(r+|w1|)) h tail, from
+        head = {{w1, h}} and tail = {{w1, v}}."""
+        deg = self.algebra.degree
+        h, v = w2[:1], w2[1:]
+        terms = outer({}, head, q=v)
+        return Tensor2(self.algebra, outer(terms, tail, p=h,
+                                          c=sign_exp(deg(h), self.shift.r + deg(w1))))
 
 
 def extend_bracket(spec: BracketSpec, a: NCPoly, b: NCPoly) -> Tensor2:

@@ -27,6 +27,7 @@ from .core import (
     Tensor3,
     Word,
     add_into,
+    outer,
     sign_exp,
 )
 from .brackets import (
@@ -121,9 +122,7 @@ def lift_derivation(omega: OmegaPresentation, h: Dict,
             if val is None:
                 continue
             if tensor_valued:
-                s = sign_exp(source_degree, alg.degree(pre)) * c
-                add_into(out, (((pre + t1, t2 + post), s * c2)
-                               for (t1, t2), c2 in val.terms.items()))
+                outer(out, val, pre, post, sign_exp(source_degree, alg.degree(pre)) * c)
             else:
                 add_into(out, ((pre + wv + post, c * c2) for wv, c2 in val.terms.items()))
         return (Tensor2 if tensor_valued else NCPoly)(alg, out)
@@ -248,9 +247,8 @@ def ev_pairing(der: DerPresentation, xi, w) -> Tensor2:
         i = der.base_of[D]
         dq = alg.degree(q)
         for ww, cw in w_items:
-            s0 = sign_exp(dq, alg.degree(ww)) * cx * cw
-            add_into(out, (((p + t1, t2 + q), s0 * c)
-                           for (t1, t2), c in double_partial(der, i, ww).terms.items()))
+            outer(out, double_partial(der, i, ww), p, q,
+                  sign_exp(dq, alg.degree(ww)) * cx * cw)
     return Tensor2(alg, out)
 
 

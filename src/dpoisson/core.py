@@ -10,9 +10,18 @@ words (one leg) or tuples of words (two or more legs) to nonzero
 coefficients, with the shared arithmetic, degree and rendering.  The
 public types only fix the number of legs: `NCPoly` (1, with the
 concatenation product), `Tensor2` (2) and `Tensor3` (3).  Every signed move
-of tensor legs (the swap tau, the rotations of the double Jacobi identity)
-is one call of `Sparse.permute`, except in the double-Jacobi orbit kernel of
-`brackets.py`, which rotates the legs of each first term inline.
+of tensor legs is one call of `Sparse.permute` (the swap tau, the rotations
+of the double Jacobi identity) or of one of the two bimodule actions of A on
+A (x) A (Van den Bergh, *Double Poisson algebras*, section 2):
+
+  outer   p (u (x) v) q   = pu (x) vq
+  inner   p * (u (x) v) * q = (-1)^(|p||u| + |p||q| + |q||v|) uq (x) pv
+
+A double bracket is a derivation in its second slot for the outer action
+and in its first slot for the inner one; `outer` and `inner` add an action
+into an accumulating dict.  The hot kernels (the double-Jacobi orbit kernel
+and left Leibniz in `brackets.py`, dlr conditions (c) and (d), and the
+closure composites of `calculus.py`) move their legs inline.
 
 Every graded sign in the package is produced by `sign_exp`: moving material
 of total degree d1 past material of total degree d2 costs (-1)^(d1*d2).
@@ -332,6 +341,28 @@ class Tensor3(Sparse):
 
     __slots__ = ()
     legs = 3
+
+
+def outer(out: dict, t: Tensor2, p: Word = (), q: Word = (), c: Scalar = 1) -> dict:
+    """Add c times the outer bimodule action p (u (x) v) q = pu (x) vq on t
+    into out and return it.  It moves no material past another: no sign."""
+    for (u, v), a in t.terms.items():
+        k = (p + u, v + q)
+        out[k] = out.get(k, 0) + c * a
+    return out
+
+
+def inner(out: dict, t: Tensor2, p: Word = (), q: Word = (), c: Scalar = 1) -> dict:
+    """Add c times the inner bimodule action
+    p * (u (x) v) * q = (-1)^(|p||u| + |p||q| + |q||v|) uq (x) pv
+    on t into out and return it: p moves past u and q, q past v."""
+    deg = t.algebra.degree
+    dp, dq = deg(p), deg(q)
+    c = sign_exp(dp, dq) * c
+    for (u, v), a in t.terms.items():
+        k = (u + q, p + v)
+        out[k] = out.get(k, 0) + sign_exp(dp, deg(u)) * sign_exp(dq, deg(v)) * c * a
+    return out
 
 
 def tensor2(algebra: FreeAlgebra, *entries) -> Tensor2:

@@ -11,27 +11,24 @@ The evaluators here extend those tables themselves, by the bimodule and
 derivation rules below; they deliberately do not reuse the word evaluator
 of brackets.BracketSpec, so agreement between dlr_check and the double
 Poisson suite of the merged bracket is a comparison of two independent
-computation paths.
+computation paths.  The two share only the core arithmetic, the leg
+permutation and the two bimodule actions; each writes its own rule signs.
 
-Extension rules (|w| means degree, r the shift):
+Extension rules (|w| means degree, r the shift; p Y q is the outer and
+p * Y * q the inner action of `core` on A (x) A, the inner one with its own
+Koszul sign; the signs written here are those of the rules):
 
   anchor, second slot split at its first letter g, wa = g v:
-    rho(w, g v) = rho(w, g) with v appended to leg 2
-                + (-1)^(|g|(r+|w|)) g prepended to leg 1 of rho(w, v)
-  anchor, first slot p m q (p, q base words):
-    start from the table entry for (m, c), then
-      append q to leg 1 with sign (-1)^(|q|(r+|c|) + |q||leg2|),
-      prepend p to leg 2 with sign (-1)^(|p||leg1|)
-    (legs read in their current state, q first).
+    rho(w, g v) = rho(w, g) v + (-1)^(|g|(r+|w|)) g rho(w, v)
+  anchor, first slot p m q (p, q base words), c a base letter:
+    rho(p m q, c) = (-1)^(|q|(r+|c|)) p * rho(m, c) * q
 
   module bracket, second slot starts with base letter a, w2 = a n:
-    l:  (-1)^(|a|(r+|w1|)) a prepended to leg 1 of {{w1, n}}_l
-    r:  rho(w1, a) with n appended to leg 2
-      + (-1)^(|a|(r+|w1|)) a prepended to leg 1 of {{w1, n}}_r
-  module bracket, second slot m g..., tail of base letters:
-    l:  {{w1, m}}_l with tail appended to leg 2
-      + (-1)^(|m|(r+|w1|)) m prepended to leg 1 of rho(w1, tail)
-    r:  {{w1, m}}_r with tail appended to leg 2
+    l:  (-1)^(|a|(r+|w1|)) a {{w1, n}}_l
+    r:  rho(w1, a) n + (-1)^(|a|(r+|w1|)) a {{w1, n}}_r
+  module bracket, second slot m tail, tail of base letters:
+    l:  {{w1, m}}_l tail + (-1)^(|m|(r+|w1|)) m rho(w1, tail)
+    r:  {{w1, m}}_r tail
   antisymmetry used to flip a bare-generator second slot into the first.
 """
 
@@ -50,6 +47,8 @@ from .core import (
     Tensor2,
     Tensor3,
     Word,
+    inner,
+    outer,
     sign_exp,
 )
 from .brackets import BracketSpec, antisym_partner
@@ -195,27 +194,14 @@ class DLRData:
         if not wa:
             out = Tensor2(alg, {})
         elif len(wa) > 1:
-            g, v = wa[0], wa[1:]
-            terms: dict = {}
-            for (t1, t2), c in self.anchor_eval(wm, (g,)).terms.items():
-                k2 = (t1, t2 + v)
-                terms[k2] = terms.get(k2, 0) + c
-            s0 = sign_exp(deg((g,)), r + deg(wm))
-            for (t1, t2), c in self.anchor_eval(wm, v).terms.items():
-                k2 = ((g,) + t1, t2)
-                terms[k2] = terms.get(k2, 0) + s0 * c
-            out = Tensor2(alg, terms)
+            g, v = wa[:1], wa[1:]
+            terms = outer({}, self.anchor_eval(wm, g), q=v)
+            out = Tensor2(alg, outer(terms, self.anchor_eval(wm, v), p=g,
+                                     c=sign_exp(deg(g), r + deg(wm))))
         else:
             p, m, q = _split_module_word(alg, wm)
-            dc = deg(wa)
-            terms = {}
-            for (t1, t2), c in self.anchor_gen(m, wa[0]).terms.items():
-                s = sign_exp(deg(q), r + dc) * sign_exp(deg(q), deg(t2))
-                t1q = t1 + q
-                s *= sign_exp(deg(p), deg(t1q))
-                k2 = (t1q, p + t2)
-                terms[k2] = terms.get(k2, 0) + s * c
-            out = Tensor2(alg, terms)
+            out = Tensor2(alg, inner({}, self.anchor_gen(m, wa[0]), p, q,
+                                     c=sign_exp(deg(q), r + deg(wa))))
         self._anchor_cache[key] = out
         return out
 
@@ -260,32 +246,18 @@ class DLRData:
         deg = alg.degree
         if not alg.is_module(w2[0]):
             # second slot a n with a a base letter
-            a, n = w2[0], w2[1:]
-            s0 = sign_exp(deg((a,)), r + deg(w1))
+            a, n = w2[:1], w2[1:]
+            s0 = sign_exp(deg(a), r + deg(w1))
             L, R = self.mb_eval(w1, n)
-            lt: dict = {}
-            for (u, v), c in L.terms.items():
-                lt[((a,) + u, v)] = lt.get(((a,) + u, v), 0) + s0 * c
-            rt: dict = {}
-            for (p, q), c in R.terms.items():
-                rt[((a,) + p, q)] = rt.get(((a,) + p, q), 0) + s0 * c
-            for (t1, t2), c in self.anchor_eval(w1, (a,)).terms.items():
-                rt[(t1, t2 + n)] = rt.get((t1, t2 + n), 0) + c
-            out = (Tensor2(alg, lt), Tensor2(alg, rt))
+            rt = outer(outer({}, R, p=a, c=s0), self.anchor_eval(w1, a), q=n)
+            out = (Tensor2(alg, outer({}, L, p=a, c=s0)), Tensor2(alg, rt))
         elif len(w2) > 1:
             # second slot m tail with a pure base tail
-            n, tail = (w2[0],), w2[1:]
+            n, tail = w2[:1], w2[1:]
             L, R = self.mb_eval(w1, n)
-            lt = {}
-            for (u, v), c in L.terms.items():
-                lt[(u, v + tail)] = lt.get((u, v + tail), 0) + c
-            rt = {}
-            for (p, q), c in R.terms.items():
-                rt[(p, q + tail)] = rt.get((p, q + tail), 0) + c
-            s0 = sign_exp(deg(n), r + deg(w1))
-            for (t1, t2), c in self.anchor_eval(w1, tail).terms.items():
-                lt[(n + t1, t2)] = lt.get((n + t1, t2), 0) + s0 * c
-            out = (Tensor2(alg, lt), Tensor2(alg, rt))
+            lt = outer(outer({}, L, q=tail), self.anchor_eval(w1, tail), p=n,
+                       c=sign_exp(deg(n), r + deg(w1)))
+            out = (Tensor2(alg, lt), Tensor2(alg, outer({}, R, q=tail)))
         elif len(w1) == 1:
             out = self.mb_gen(w1[0], w2[0])
         else:
@@ -328,33 +300,22 @@ def _anchor_properties(d: DLRData, mwords: list, bwords: list):
     for wm, wa in itertools.product(mwords, bwords):
         for cut in range(1, len(wa)):
             u, v = wa[:cut], wa[cut:]
-            terms: dict = {}
-            for (t1, t2), c in d.anchor_eval(wm, u).terms.items():
-                terms[(t1, t2 + v)] = terms.get((t1, t2 + v), 0) + c
-            s = sign_exp(deg(u), r + deg(wm))
-            for (t1, t2), c in d.anchor_eval(wm, v).terms.items():
-                terms[(u + t1, t2)] = terms.get((u + t1, t2), 0) + s * c
+            terms = outer({}, d.anchor_eval(wm, u), q=v)
+            outer(terms, d.anchor_eval(wm, v), p=u, c=sign_exp(deg(u), r + deg(wm)))
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
                 yield f"{alg.render_words(wm, wa)} split {cut}", diff.render()
         p, m, q = _split_module_word(alg, wm)
-        # left action: wm = p (m q); prepend p to leg 2
+        # left action: rho(p (m q), wa) = p * rho(m q, wa)
         if p:
-            inner = d.anchor_eval(wm[len(p):], wa)
-            terms = {}
-            for (t1, t2), c in inner.terms.items():
-                s = sign_exp(deg(p), deg(t1))
-                terms[(t1, p + t2)] = terms.get((t1, p + t2), 0) + s * c
+            terms = inner({}, d.anchor_eval(wm[len(p):], wa), p=p)
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
                 yield f"{alg.render_words(wm, wa)} left action", diff.render()
-        # right action: wm = (p m) q; append q to leg 1
+        # right action: rho((p m) q, wa) = (-1)^(|q|(r+|wa|)) rho(p m, wa) * q
         if q:
-            inner = d.anchor_eval(wm[: len(wm) - len(q)], wa)
-            terms = {}
-            for (t1, t2), c in inner.terms.items():
-                s = sign_exp(deg(q), r + deg(wa)) * sign_exp(deg(q), deg(t2))
-                terms[(t1 + q, t2)] = terms.get((t1 + q, t2), 0) + s * c
+            terms = inner({}, d.anchor_eval(wm[: len(wm) - len(q)], wa), q=q,
+                          c=sign_exp(deg(q), r + deg(wa)))
             diff = Tensor2(alg, terms) - d.anchor_eval(wm, wa)
             if diff:
                 yield f"{alg.render_words(wm, wa)} right action", diff.render()
@@ -370,37 +331,26 @@ def _b_derivation_compat(d: DLRData, mwords: list):
         pos = next(k for k, i in enumerate(w2) if alg.is_module(i))
         for cut in range(1, len(w2)):
             if cut <= pos:
-                # w2 = a n with a = w2[:cut] base, n weight one
+                # w2 = a n with a = w2[:cut] base, n weight one:
+                # {{w1, a n}} = (-1)^(|a|(r+|w1|)) a {{w1, n}} + rho(w1, a) n
                 a, n = w2[:cut], w2[cut:]
                 Ln, Rn = d.mb_eval(w1, n)
                 s = sign_exp(deg(a), r + deg(w1))
-                lt: dict = {}
-                for (u, v), c in Ln.terms.items():
-                    lt[(a + u, v)] = lt.get((a + u, v), 0) + s * c
-                rt: dict = {}
-                for (p, q), c in Rn.terms.items():
-                    rt[(a + p, q)] = rt.get((a + p, q), 0) + s * c
-                for (t1, t2), c in d.anchor_eval(w1, a).terms.items():
-                    rt[(t1, t2 + n)] = rt.get((t1, t2 + n), 0) + c
-                res = _pair_residual((L2, R2), (Tensor2(alg, lt), Tensor2(alg, rt)))
-                if res is not None:
-                    yield f"{alg.render_words(w1, w2)} left split {cut}", res
+                lt = outer({}, Ln, p=a, c=s)
+                rt = outer(outer({}, Rn, p=a, c=s), d.anchor_eval(w1, a), q=n)
+                side = "left"
             else:
-                # w2 = n a with a = w2[cut:] base, n weight one
+                # w2 = n a with a = w2[cut:] base, n weight one:
+                # {{w1, n a}} = {{w1, n}} a + (-1)^(|n|(r+|w1|)) n rho(w1, a)
                 n, a = w2[:cut], w2[cut:]
                 Ln, Rn = d.mb_eval(w1, n)
-                lt = {}
-                for (u, v), c in Ln.terms.items():
-                    lt[(u, v + a)] = lt.get((u, v + a), 0) + c
-                rt = {}
-                for (p, q), c in Rn.terms.items():
-                    rt[(p, q + a)] = rt.get((p, q + a), 0) + c
-                s = sign_exp(deg(n), r + deg(w1))
-                for (t1, t2), c in d.anchor_eval(w1, a).terms.items():
-                    lt[(n + t1, t2)] = lt.get((n + t1, t2), 0) + s * c
-                res = _pair_residual((L2, R2), (Tensor2(alg, lt), Tensor2(alg, rt)))
-                if res is not None:
-                    yield f"{alg.render_words(w1, w2)} right split {cut}", res
+                lt = outer(outer({}, Ln, q=a), d.anchor_eval(w1, a), p=n,
+                           c=sign_exp(deg(n), r + deg(w1)))
+                rt = outer({}, Rn, q=a)
+                side = "right"
+            res = _pair_residual((L2, R2), (Tensor2(alg, lt), Tensor2(alg, rt)))
+            if res is not None:
+                yield f"{alg.render_words(w1, w2)} {side} split {cut}", res
 
 
 def _c_anchor_jacobi(d: DLRData, mwords: list, bwords: list):

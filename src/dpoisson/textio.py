@@ -36,6 +36,7 @@ from .core import (
     Colour,
     FreeAlgebra,
     Generator,
+    Scalar,
     ShiftContext,
     Tensor2,
     add_into,
@@ -183,15 +184,27 @@ class _Parser:
             raise DocumentError(f"expected {want!r}, got {got!r}", t.line, t.col)
         return self.advance()
 
+    def number(self) -> Scalar:
+        """The value of the next token, which must be a number; every number
+        of a document is read here."""
+        t = self.expect("number")
+        try:
+            return Fraction(t.value) if "/" in t.value else int(t.value)
+        except ZeroDivisionError:
+            raise DocumentError(f"zero denominator in {t.value!r}", t.line, t.col) from None
+        except ValueError as e:  # past the interpreter's int/str digit limit
+            raise DocumentError(str(e), t.line, t.col) from None
+
     def integer(self) -> int:
         neg = False
         if self.peek().kind == "-":
             self.advance()
             neg = True
-        t = self.expect("number")
-        if "/" in t.value:
+        t = self.peek()
+        if t.kind == "number" and "/" in t.value:
             raise DocumentError("expected integer", t.line, t.col)
-        return -int(t.value) if neg else int(t.value)
+        n = self.number()
+        return -n if neg else n
 
     def genlist(self) -> List[Tuple[str, int]]:
         self.expect("[")
@@ -234,14 +247,8 @@ class _Parser:
             coeff = sign
             t = self.peek()
             if t.kind == "number" and self.toks[self.pos + 1].kind == "*":
+                coeff *= self.number()
                 self.advance()
-                self.advance()
-                try:
-                    coeff *= Fraction(t.value)
-                except ZeroDivisionError:
-                    raise DocumentError(
-                        f"zero denominator in {t.value!r}", t.line, t.col
-                    ) from None
             w1 = self.word(alg)
             self.expect("(*)")
             w2 = self.word(alg)
@@ -295,10 +302,7 @@ class _Parser:
         gens = self.genlist()
         self.expect("}")
         alg = FreeAlgebra(tuple(Generator(n, d) for n, d in gens))
-        try:
-            doc.add("algebra", name.value, (alg, ShiftContext(r)))
-        except DocumentError as e:
-            raise DocumentError(str(e), name.line, name.col)
+        _add(doc, "algebra", name, (alg, ShiftContext(r)))
 
     def _bimodule(self, doc: Document):
         name = self.expect("ident")
@@ -313,12 +317,10 @@ class _Parser:
         self.expect("}")
         base = doc.algebras[over.value][0]
         try:
-            bm = BimoduleSpec(
-                base, [Generator(n, d, Colour.MODULE) for n, d in gens]
-            )
-            doc.add("bimodule", name.value, bm, over.value)
-        except (ValueError, DocumentError) as e:
-            raise DocumentError(str(e), name.line, name.col)
+            bm = BimoduleSpec(base, [Generator(n, d, Colour.MODULE) for n, d in gens])
+        except ValueError as e:
+            raise DocumentError(str(e), name.line, name.col) from None
+        _add(doc, "bimodule", name, bm, over.value)
 
     def _target(self, doc: Document, tok: Token) -> FreeAlgebra:
         if tok.value in doc.algebras:
@@ -338,7 +340,7 @@ class _Parser:
             spec = BracketSpec(alg, doc.shift_of(on.value), table)
         except ValueError as e:
             raise DocumentError(str(e), t0.line, t0.col)
-        doc.add("bracket", name.value, spec, on.value)
+        _add(doc, "bracket", name, spec, on.value)
 
     def _dlr(self, doc: Document):
         name = self.expect("ident")
@@ -373,7 +375,15 @@ class _Parser:
             data = DLRData(bm, doc.shift_of(mod.value), anchor, mbracket)
         except ValueError as e:
             raise DocumentError(str(e), t0.line, t0.col)
-        doc.add("dlr", name.value, data, mod.value)
+        _add(doc, "dlr", name, data, mod.value)
+
+
+def _add(doc: Document, kind: str, name: Token, obj, ref: Optional[str] = None):
+    """Document.add, with a taken name reported at its token."""
+    try:
+        doc.add(kind, name.value, obj, ref)
+    except DocumentError as e:
+        raise DocumentError(str(e), name.line, name.col) from None
 
 
 def _rule_table(alg: FreeAlgebra, rules: list, entry=None) -> dict:

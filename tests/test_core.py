@@ -13,7 +13,9 @@ from dpoisson.core import (
     Tensor2,
     Tensor3,
     cyclic_class,
+    inner,
     koszul_sign,
+    outer,
     poly_mul,
     sign_exp,
     tensor2,
@@ -254,6 +256,27 @@ def test_permute_swap_matches_explicit_formula(t):
     want = Tensor2(t.algebra, {(v, u): sign_exp(deg(u), deg(v)) * c
                                for (u, v), c in t.terms.items()})
     assert t.permute((1, 0)) == want
+
+
+@st.composite
+def tensors_with_actors(draw):
+    """A nonzero 2-leg tensor over an algebra with an odd generator, and two
+    words p, q over that algebra."""
+    t = draw(graded_tensors(2).filter(lambda t: t and any(g.degree for g in t.algebra.gens)))
+    word = st.lists(st.integers(0, len(t.algebra.gens) - 1), max_size=3).map(tuple)
+    return t, draw(word), draw(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors_with_actors(), st.sampled_from([1, -1, Fraction(2, 3)]))
+def test_bimodule_actions_match_explicit_formulas(case, c):
+    # outer: p (u (x) v) q = pu (x) vq; the inner action is the outer one
+    # conjugated by the signed swap tau: p * (u (x) v) * q = tau(p tau(u (x) v) q)
+    t, p, q = case
+    want = Tensor2(t.algebra, {(p + u, v + q): c * a for (u, v), a in t.terms.items()})
+    assert Tensor2(t.algebra, outer({}, t, p, q, c)) == want
+    swapped = Tensor2(t.algebra, outer({}, t.permute((1, 0)), p, q, c)).permute((1, 0))
+    assert Tensor2(t.algebra, inner({}, t, p, q, c)) == swapped
 
 
 @settings(max_examples=60, deadline=None)

@@ -149,6 +149,17 @@ ERRORS = [
      "dlr D {\n  module = M\n  anchor {\n  }\n  bracket {\n"
      "    [m, m] = m (*) 1\n    [m, m] = 1 (*) m\n  }\n}\n",
      "line 14, col 5: duplicate rule [m, m]"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0 ]\n}\n"
+     "bracket B on A {\n}\nbracket B on A {\n}\n",
+     "line 7, col 9: duplicate name 'B'"),
+    ("algebra A {\n  shift = 0\n  gens = [ x:0 ]\n}\n"
+     "bimodule M over A {\n  gens = [ m:0 ]\n}\n"
+     + "dlr D {\n  module = M\n  anchor {\n  }\n  bracket {\n  }\n}\n" * 2,
+     "line 15, col 5: duplicate name 'D'"),
+    # past the interpreter's default int/str digit limit, which only the CLI lifts
+    ("algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\nbracket B on A {\n"
+     f"  [x, y] = 1{'0' * 4300} * x (*) y\n}}\n",
+     "line 6, col 12: Exceeds the limit (4300 digits)"),
 ]
 
 
