@@ -5,6 +5,8 @@ construction succeeds), 1 when some axiom or equivalence check fails
 (including construction preconditions like feeding a non double Poisson
 bracket to koszul), 2 on input errors: missing, unreadable or non-UTF-8
 files, parse errors, unknown names, malformed words.
+
+The argument parser is built once per process, on the first `main` call.
 """
 
 from __future__ import annotations
@@ -222,8 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = None  # build_parser(), made by the first main call; holds no per-call state
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     # output is exact, so integers of any length are read and printed; the
     # interpreter's int/str digit limit (Python >= 3.10.7) is lifted for
     # this call only

@@ -31,6 +31,7 @@ when it moves.  `koszul_sign` is the same sign for lists of degrees.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import functools
 import itertools
@@ -374,6 +375,18 @@ def tensor2(algebra: FreeAlgebra, *entries) -> Tensor2:
     return Tensor2(algebra, add_into({}, (term(*e) for e in entries)))
 
 
+def exact_str(q: Scalar) -> str:
+    """`str` of an int or Fraction of any length.  Past the interpreter's
+    int/str digit limit (Python >= 3.10.7) `str` raises; `Decimal` prints an
+    int exactly and is not bound by that limit."""
+    if isinstance(q, Fraction):
+        return f"{exact_str(q.numerator)}/{exact_str(q.denominator)}"
+    try:
+        return str(q)
+    except ValueError:
+        return str(decimal.Decimal(q))
+
+
 def render_terms(algebra: FreeAlgebra, terms: Mapping, legs: int,
                  cyclic: bool = False) -> str:
     """Deterministic rendering shared by polynomials, tensors and cyclic
@@ -400,7 +413,7 @@ def render_terms(algebra: FreeAlgebra, terms: Mapping, legs: int,
             body = f"[{body}]"
         mag = abs(c)
         if mag != 1:
-            body = f"{mag} * {body}"
+            body = f"{exact_str(mag)} * {body}"
         pieces.append(("-" if c < 0 else "+", body))
     sign0, body0 = pieces[0]
     out = body0 if sign0 == "+" else "- " + body0

@@ -40,6 +40,7 @@ from .core import (
     ShiftContext,
     Tensor2,
     add_into,
+    exact_str,
     render_terms,
 )
 from .brackets import BracketSpec
@@ -419,7 +420,7 @@ def parse_document(text: str) -> Document:
 def _fmt_genlist(gens) -> str:
     if not gens:
         return "[ ]"
-    inner = ", ".join(f"{g.name}:{g.degree}" for g in gens)
+    inner = ", ".join(f"{g.name}:{exact_str(g.degree)}" for g in gens)
     return f"[ {inner} ]"
 
 
@@ -443,7 +444,7 @@ def format_document(doc: Document) -> str:
             alg, shift = doc.algebras[name]
             blocks.append(
                 f"algebra {name} {{\n"
-                f"  shift = {shift.r}\n"
+                f"  shift = {exact_str(shift.r)}\n"
                 f"  gens = {_fmt_genlist(alg.gens)}\n"
                 f"}}"
             )

@@ -3,15 +3,21 @@
 import contextlib
 import io
 import json
+import pathlib
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dpoisson import cli
 from dpoisson.cli import main
-from dpoisson.textio import format_document, parse_document
+from dpoisson.textio import DocumentError, format_document, parse_document
 
 from conftest import FIXDIR
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+COMMANDS = ["check", "eval", "jacobiator", "leibniz", "necklace", "koszul", "sn", "shift",
+            "verify-shift"]
 
 
 def run(capsys, *argv):
@@ -355,3 +361,181 @@ def test_verify_shift_broken_data_still_equivalent(capsys):
                        "--dlr", "KBAD", "--delta", "1")
     assert code == 0
     assert "result: PASS" in out
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def request(argv, out_path=None):
+    """(exit, stdout, stderr, written file) of one in-process request; an
+    argparse exit is ("SystemExit", code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as e:
+            code = ("SystemExit", e.code)
+    written = None
+    if out_path is not None and out_path.exists():
+        written = out_path.read_text()
+        out_path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path):
+    built, build = [], cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_parser", None)
+    f1, k = FIXDIR / "f1.dbr", FIXDIR / "koszul_f2.dbr"
+    argvs = [
+        ["check", FIXDIR / "zero.dbr"],
+        ["check", f1, "--max-len", "1", "--format", "json"],
+        ["check", f1, "--max-len", "0"],
+        ["eval", f1, "--bracket", "B", "x", "y.x"],
+        ["eval", f1, "--bracket", "NOPE", "x", "y"],
+        ["jacobiator", f1, "--bracket", "B", "x", "x", "y"],
+        ["leibniz", f1, "--bracket", "B", "x", "x.y"],
+        ["necklace", f1, "--bracket", "B", "x", "y"],
+        ["koszul", FIXDIR / "f2.dbr", "--bracket", "F2", "-o", tmp_path / "k.dbr"],
+        ["koszul", FIXDIR / "fail_jacobi.dbr", "--bracket", "BAD", "-o", tmp_path / "x.dbr"],
+        ["sn", f1, "--algebra", "A", "-o", tmp_path / "sn.dbr"],
+        ["shift", k, "--dlr", "K", "--delta", "2", "-o", tmp_path / "up.dbr"],
+        ["shift", k, "--dlr", "K", "--delta", "x", "-o", tmp_path / "up.dbr"],
+        ["verify-shift", k, "--dlr", "K", "--delta", "-2", "--max-len", "2"],
+        ["verify-shift", FIXDIR / "flipped_anchor.dbr", "--dlr", "KBAD", "--delta", "1"],
+        ["necklace", "--help"],
+        ["--help"],
+        ["nope"],
+        [],
+        ["eval", f1, "--bracket", "B", "x", "y.x"],
+    ]
+    assert len(argvs) == 20
+    for argv in argvs:
+        request(argv)
+    assert built == [1]
+
+
+def test_shared_parser_answers_like_a_fresh_one(monkeypatch, tmp_path):
+    # an interleaved sequence through one parser, each request compared
+    # with the same request on a freshly built parser
+    monkeypatch.setenv("COLUMNS", "80")
+    out_path = tmp_path / "up.dbr"
+    f1 = FIXDIR / "f1.dbr"
+    argvs = [
+        ["eval", f1, "--bracket", "B", "x", "y.x"],
+        ["check", f1, "--max-len", "0"],
+        ["check", FIXDIR / "f2.dbr", "--format", "json", "--no-time"],
+        ["shift", FIXDIR / "koszul_f2.dbr", "--dlr", "K", "--delta", "2", "-o", out_path],
+        ["eval", "--help"],
+        ["eval", f1, "--bracket", "B", "x", "y.x"],
+        # a default that an earlier request set must not carry over
+        ["check", FIXDIR / "f2.dbr", "--max-len", "1", "--no-time"],
+    ]
+    monkeypatch.setattr(cli, "_parser", None)
+    shared = [request(argv, out_path) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(request(argv, out_path))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, ("SystemExit", 2), 0, 0, ("SystemExit", 0), 0, 0]
+    assert shared[3][3] is not None
+
+
+@pytest.mark.parametrize("command", [None] + COMMANDS)
+def test_help_matches_golden(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    cap = capsys.readouterr()
+    name = "help.txt" if command is None else f"help_{command}.txt"
+    assert (cap.out, cap.err) == ((GOLDEN / name).read_text(), "")
+
+
+# -- fuzz: argv of every other subcommand ends in exit 0, 1 or 2 -------------
+
+
+def corpus_names(path) -> dict:
+    """Option -> names a fixture declares, and the letters of its algebras."""
+    try:
+        doc = parse_document(path.read_text())
+    except DocumentError:
+        return {}
+    return {"--bracket": list(doc.brackets), "--algebra": list(doc.algebras),
+            "--dlr": list(doc.dlrs),
+            "letters": [g.name for alg, _ in doc.algebras.values() for g in alg.gens]}
+
+
+FIXTURE_NAMES = {str(p): corpus_names(p) for p in sorted(FIXDIR.glob("*.dbr"))}
+NAMED = {"koszul": "--bracket", "sn": "--algebra", "shift": "--dlr", "verify-shift": "--dlr"}
+NAMED.update({c: "--bracket" for c in ("eval", "jacobiator", "leibniz", "necklace")})
+WORD_COUNT = {"eval": 2, "jacobiator": 3, "leibniz": 2, "necklace": 2}
+ident = st.text(alphabet="ABKxyz1_.", max_size=4)
+odd_words = st.one_of(ident, st.sampled_from(["1", "", ".", "x..y", "x.", "x y", "-1", "2 * x"]))
+deltas = st.one_of(st.integers(-3, 3).map(str),
+                   st.sampled_from(["", "x", "1.5", "1" + "0" * 4999]))
+max_lens = st.sampled_from(["-1", "0", "1", "2", "x", ""])
+
+
+@st.composite
+def requests(draw):
+    """(command, argv) for one subcommand other than check.  The file is
+    mostly a fixture, with names and words drawn mostly from it; else a
+    mutated corpus document ("FUZZ") or a missing path.  The -o target
+    ("OUT", "DIR" or "NODIR") is resolved under tmp_path."""
+    command = draw(st.sampled_from(COMMANDS[1:]))
+    option = NAMED[command]
+    declaring = [f for f, known in FIXTURE_NAMES.items() if known.get(option)]
+    file = draw(st.sampled_from(declaring * 8 + list(FIXTURE_NAMES) + ["FUZZ", "no_such.dbr"]))
+    known = FIXTURE_NAMES.get(file, {})
+    mostly = st.sampled_from([True, True, True, False])
+    names = st.sampled_from(known[option]) if known.get(option) else ident
+    argv = [command, file, option, draw(names if draw(mostly) else ident)]
+    letters = known.get("letters") or ["x", "y"]
+    words = st.lists(st.sampled_from(letters), min_size=1, max_size=3).map(".".join)
+    for _ in range(WORD_COUNT.get(command, 0)):
+        argv.append(draw(words if draw(mostly) else odd_words))
+    if command in ("shift", "verify-shift"):
+        argv += ["--delta", draw(deltas)]
+    if command == "verify-shift" and draw(st.booleans()):
+        argv += ["--max-len", draw(max_lens)]
+    if command in ("koszul", "sn", "shift"):
+        argv += ["-o", draw(st.sampled_from(["OUT", "OUT", "DIR", "NODIR"]))]
+    edit = draw(st.sampled_from(["none"] * 6 + ["drop", "junk"]))
+    if edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "junk":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-o"])))
+    return command, argv
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(req=requests(), doc=mutated_documents())
+def test_contract_on_any_request(tmp_path, req, doc):
+    # all examples go through the one parser of this process
+    command, argv = req
+    (tmp_path / "fuzz.dbr").write_bytes(doc)
+    out_path = tmp_path / "out.dbr"
+    where = {"FUZZ": tmp_path / "fuzz.dbr", "OUT": out_path, "DIR": tmp_path,
+             "NODIR": tmp_path / "no_dir" / "out.dbr"}
+    code, out, err, written = request([where.get(a, a) for a in argv], out_path)
+    if isinstance(code, tuple):  # argparse rejects the arguments
+        assert code == ("SystemExit", 2)
+        assert out == "" and "error: " in err
+        return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    elif code == 1 and command != "verify-shift":
+        # a construction whose precondition fails says which one
+        assert command in ("koszul", "sn") and err.startswith("error: ")
+    else:
+        assert err == ""
+    assert written is None or code == 0

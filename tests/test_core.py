@@ -1,5 +1,6 @@
 """Core arithmetic: words, signs, polynomials, tensors, cyclic words."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,21 @@ def test_render_terms_sorted_by_length_then_word():
     t = tensor2(A, ("y.x", "1"), ("x", "1"))
     # shorter first leg sorts first
     assert t.render() == "x (*) 1 + y.x (*) 1"
+
+
+def test_render_terms_past_the_digit_limit():
+    # the interpreter's default int/str digit limit (4300) stays in force
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000
+    A = alg_xy()
+    big = "1" + "0" * 4999 + "7"
+    assert A.monomial("x", 10**5000 + 7).render() == f"{big} * x"
+    # 5000 digits above and below the bar, coprime
+    num, den = 10**4999 + 1, 10**4999 + 3
+    q = "1" + "0" * 4998 + "1/" + "1" + "0" * 4998 + "3"
+    t = tensor2(A, ("x", "y", Fraction(-num, den)), ("1", "1", 2))
+    assert t.render() == f"2 * 1 (*) 1 - {q} * x (*) y"
+    assert sys.get_int_max_str_digits() == limit
 
 
 # -- signed leg permutation -------------------------------------------------

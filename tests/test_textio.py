@@ -1,10 +1,13 @@
 """The document grammar: parse, canonical formatting, and error positions."""
 
 import pathlib
+import sys
 
 import pytest
 
-from dpoisson.textio import DocumentError, format_document, parse_document
+from dpoisson.brackets import BracketSpec
+from dpoisson.core import FreeAlgebra, Generator, ShiftContext, tensor2
+from dpoisson.textio import Document, DocumentError, format_document, parse_document
 
 from conftest import FIXDIR
 
@@ -181,3 +184,23 @@ def test_error_position_points_at_offender():
 def test_malformed_fixture_fails_to_parse():
     with pytest.raises(DocumentError):
         parse_document((FIXDIR / "malformed.dbr").read_text())
+
+
+def test_format_document_past_the_digit_limit():
+    # shifts, degrees and coefficients are written exactly while the
+    # interpreter's default int/str digit limit (4300) stays in force
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000
+    big, text = 10**5000 + 7, "1" + "0" * 4999 + "7"
+    xy = FreeAlgebra((Generator("x"), Generator("y")))
+    doc = Document()
+    doc.add("algebra", "G", (FreeAlgebra((Generator("a", big),)), ShiftContext(-big)))
+    doc.add("algebra", "A", (xy, ShiftContext(0)))
+    spec = BracketSpec(xy, ShiftContext(0), {(0, 1): tensor2(xy, ("x", "y", big))})
+    doc.add("bracket", "B", spec, "A")
+    assert format_document(doc) == (
+        f"algebra G {{\n  shift = -{text}\n  gens = [ a:{text} ]\n}}\n\n"
+        "algebra A {\n  shift = 0\n  gens = [ x:0, y:0 ]\n}\n\n"
+        f"bracket B on A {{\n  [x, y] = {text} * x (*) y\n}}\n"
+    )
+    assert sys.get_int_max_str_digits() == limit
