@@ -45,11 +45,6 @@ from .core import (
 from .reports import CheckReport
 
 
-def swap_legs(t: Tensor2) -> Tensor2:
-    """Signed leg swap tau: u (x) v -> (-1)^(|u||v|) v (x) u."""
-    return t.permute((1, 0))
-
-
 def antisym_partner(t: Tensor2, d_first: int, d_second: int, r: int) -> Tensor2:
     """Given t = {{b,a}}, return {{a,b}} forced by antisymmetry.
 

@@ -231,14 +231,14 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     # output is exact, so integers of any length are read and printed; the
     # interpreter's int/str digit limit (Python >= 3.10.7) is lifted for
-    # this call only
+    # this call only, argument parsing included
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (InputError, DocumentError) as e:
         print(f"error: {e}", file=sys.stderr)

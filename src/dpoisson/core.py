@@ -26,7 +26,7 @@ closure composites of `calculus.py`) move their legs inline.
 Every graded sign in the package is produced by `sign_exp`: moving material
 of total degree d1 past material of total degree d2 costs (-1)^(d1*d2).
 The suspension symbol of a shift context counts as material of degree r
-when it moves.  `koszul_sign` is the same sign for lists of degrees.
+when it moves.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ class ShiftContext:
 def sign_exp(d1: int, d2: int) -> int:
     """Sign of moving degree-d1 material past degree-d2 material."""
     return -1 if (d1 & 1) and (d2 & 1) else 1
-
-
-def koszul_sign(degrees_moved: Iterable[int], degrees_passed: Iterable[int]) -> int:
-    """Koszul sign (-1)^(sum(moved) * sum(passed)) as an int."""
-    return sign_exp(sum(degrees_moved), sum(degrees_passed))
 
 
 class FreeAlgebra:

@@ -527,18 +527,6 @@ def classify_bracket(spec: BracketSpec) -> BracketClass:
     return BracketClass.GENERAL
 
 
-def quadratic_as_double_lie(spec: BracketSpec) -> BracketSpec:
-    """Restrict a quadratic bracket on T_1(M) to its module table; the
-    derivation extension of the result reproduces the input."""
-    alg = spec.algebra
-    if alg.base_indices:
-        raise ValueError("base algebra must be trivial")
-    if classify_bracket(spec) is not BracketClass.QUADRATIC and not bracket_is_zero(spec):
-        raise ValueError("not a quadratic bracket")
-    table = {k: v for k, v in spec.table.items()}
-    return BracketSpec(alg, spec.shift, table)
-
-
 def assoc_product_check(bimodule: BimoduleSpec, f: Dict) -> CheckReport:
     """Associativity of a tabulated product on the module generators of a
     bimodule over the trivial base."""

@@ -9,7 +9,6 @@ import time
 
 from fractions import Fraction
 
-from dpoisson import fixtures as fx
 from dpoisson.brackets import (
     check_extension_order,
     check_necklace_jacobi,
@@ -19,11 +18,11 @@ from dpoisson.brackets import (
 from dpoisson.calculus import koszul_bracket, koszul_square_check, sn_bracket
 from dpoisson.cli import main
 from dpoisson.core import FreeAlgebra, Generator
-from dpoisson.dlr import assoc_product_check, dlr_check, dlr_to_linear
+from dpoisson.dlr import BimoduleSpec, assoc_product_check, dlr_check, dlr_to_linear
 from dpoisson.shifting import shift_dlr, verify_shift_equivalence
 from dpoisson.textio import format_document, parse_document
 
-from conftest import FIXDIR
+from conftest import FIXDIR, block, broken_dlr_fixtures, dlr_fixtures
 
 
 def _verdict(n, label, ok):
@@ -33,13 +32,13 @@ def _verdict(n, label, ok):
 
 def test_c01_f1_suite_within_budget():
     start = time.monotonic()
-    rep = run_bracket_checks(fx.f1_spec(), max_len=4)
+    rep = run_bracket_checks(block("f1.dbr", "B"), max_len=4)
     elapsed = time.monotonic() - start
     _verdict(1, "f1 full suite at length 4 under 30s", rep.ok and elapsed < 30.0)
 
 
 def test_c02_f2_jacobiator_and_suite():
-    f2 = fx.f2_spec()
+    f2 = block("f2.dbr", "F2")
     x = f2.algebra.monomial("x")
     jac_zero = not double_jacobiator(f2, x, x, x)
     rep = run_bracket_checks(f2, max_len=4)
@@ -47,7 +46,7 @@ def test_c02_f2_jacobiator_and_suite():
 
 
 def test_c03_koszul_conditions_and_square():
-    f2 = fx.f2_spec()
+    f2 = block("f2.dbr", "F2")
     data = koszul_bracket(f2)
     ok = dlr_check(data, max_len=3).ok and koszul_square_check(f2, data=data, max_len=3).ok
     _verdict(3, "koszul data passes all conditions and the square identity", ok)
@@ -73,7 +72,7 @@ def test_c04_sn_bracket_on_two_generators():
 
 def test_c05_shift_family_equivalence_and_involution():
     ok = True
-    for name, data in fx.dlr_fixtures():
+    for name, data in dlr_fixtures():
         for delta in (-2, -1, 1, 2):
             ok = ok and verify_shift_equivalence(data, delta, max_len=3).ok
             ok = ok and shift_dlr(shift_dlr(data, delta), -delta) == data
@@ -82,7 +81,7 @@ def test_c05_shift_family_equivalence_and_involution():
 
 def test_c06_dual_route_verdicts():
     ok = True
-    for name, data in fx.dlr_fixtures() + fx.broken_dlr_fixtures():
+    for name, data in dlr_fixtures() + broken_dlr_fixtures():
         own = dlr_check(data, max_len=3).ok
         rep = run_bracket_checks(dlr_to_linear(data), max_len=3, necklace=False)
         generic = rep.entry("antisymmetry").passed and rep.entry("double-jacobi").passed
@@ -91,16 +90,31 @@ def test_c06_dual_route_verdicts():
 
 
 def test_c07_extension_order_independence():
-    ok = check_extension_order(fx.f1_spec(), max_len=3).ok
-    ok = ok and check_extension_order(fx.f2_spec(), max_len=3).ok
+    ok = check_extension_order(block("f1.dbr", "B"), max_len=3).ok
+    ok = ok and check_extension_order(block("f2.dbr", "F2"), max_len=3).ok
     _verdict(7, "extension order independence at length 3", ok)
 
 
 def test_c08_necklace_jacobi_and_representatives():
-    rep = check_necklace_jacobi(fx.f1_spec(), max_len=4)
+    rep = check_necklace_jacobi(block("f1.dbr", "B"), max_len=4)
     names = {e.axiom for e in rep.entries}
     ok = rep.ok and {"necklace-representativity", "necklace-jacobi"} <= names
     _verdict(8, "necklace jacobi with representative independence at length 4", ok)
+
+
+def product_fixtures():
+    """(name, bimodule over the trivial base, product table on its
+    generators, associative?) of the product tables of criterion 9."""
+    tables = [
+        # e.e = e
+        ("idempotent", ["e"], {("e", "e"): "e"}, True),
+        # a.a = a, a.b = b, other products zero
+        ("composition", ["a", "b"], {("a", "a"): "a", ("a", "b"): "b"}, True),
+        # f(e,e) = e, f(e,g) = e, f(g,e) = g; fails first at (e, g, g)
+        ("nonassoc", ["e", "g"], {("e", "e"): "e", ("e", "g"): "e", ("g", "e"): "g"}, False),
+    ]
+    return [(name, BimoduleSpec(FreeAlgebra(()), [Generator(n) for n in names]), f, ok)
+            for name, names, f, ok in tables]
 
 
 def _oracle_assoc(names, table):
@@ -128,7 +142,7 @@ def _oracle_assoc(names, table):
 
 def test_c09_product_tables_against_oracle():
     ok = True
-    for name, bm, f, expected in fx.product_fixtures():
+    for name, bm, f, expected in product_fixtures():
         names = [g.name for g in bm.mgens]
         want = _oracle_assoc(names, f)
         got = assoc_product_check(bm, f).ok

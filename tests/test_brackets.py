@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpoisson import brackets
-from dpoisson import fixtures as fx
 from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, sign_exp, tensor2
 from dpoisson.brackets import (
     BracketSpec,
@@ -28,20 +27,21 @@ from dpoisson.brackets import (
     project_cyclic,
     render_cyclic,
     run_bracket_checks,
-    swap_legs,
 )
+
+from conftest import block
 
 
 # -- construction and validation ------------------------------------------
 
 
 def test_spec_normalizes_keys_to_indices():
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     assert list(f1.table.keys()) == [(0, 1)]
 
 
 def test_transpose_derived_at_evaluation():
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     # {{y,x}} = -swap({{x,y}}) in degree 0, even though only (x,y) is stored
     assert f1.eval_words(A.word("y"), A.word("x")) == tensor2(A, ("1", "1", -1))
@@ -81,7 +81,7 @@ def test_antisym_partner_shifted_sign():
     # r = -1, both degrees 0: overall sign -(-1)^{(-1)(-1)} = +1
     A = FreeAlgebra((Generator("x"),))
     t = tensor2(A, ("x", "1"))
-    assert antisym_partner(t, 0, 0, -1) == swap_legs(t)
+    assert antisym_partner(t, 0, 0, -1) == t.permute((1, 0))
 
 
 # -- evaluation oracles ---------------------------------------------------
@@ -89,7 +89,7 @@ def test_antisym_partner_shifted_sign():
 
 def test_f1_eval_right_extension():
     # {{x, y.x}} = 1 (x) x by the right Leibniz extension
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     got = f1.eval_words(A.word("x"), A.word("y.x"))
     assert got == tensor2(A, ("1", "x"))
@@ -98,21 +98,21 @@ def test_f1_eval_right_extension():
 
 def test_f1_eval_left_extension():
     # first-slot extension acts through the inner bimodule structure
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     assert f1.eval_words(A.word("x.y"), A.word("y")) == tensor2(A, ("y", "1"))
     assert f1.eval_words(A.word("x.y"), A.word("x")) == tensor2(A, ("1", "x", -1))
 
 
 def test_f1_eval_unit_slot_vanishes():
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     assert not f1.eval_words((), A.word("x"))
     assert not f1.eval_words(A.word("x"), ())
 
 
 def test_f2_eval_on_square():
-    f2 = fx.f2_spec()
+    f2 = block("f2.dbr", "F2")
     A = f2.algebra
     # {{x, x.x}} = x.x (x) 1 - 1 (x) x.x  by the derivation rule
     got = f2.eval_words(A.word("x"), A.word("x.x"))
@@ -121,7 +121,7 @@ def test_f2_eval_on_square():
 
 def test_graded_eval_antisymmetry_sign():
     # |a| = 1, r = -2: {{a,a}} = 1 (x) 1 is its own antisymmetric partner
-    g = fx.graded_spec()
+    g = block("graded.dbr", "GB")
     A = g.algebra
     val = g.eval_words(A.word("a"), A.word("a"))
     assert val == tensor2(A, ("1", "1"))
@@ -145,10 +145,12 @@ def recursion_keys(w1, w2, order, keys):
     return keys
 
 
-@pytest.mark.parametrize("make", [fx.f1_spec, fx.graded_spec, fx.quadratic_spec])
+@pytest.mark.parametrize("file,name", [("f1.dbr", "B"), ("graded.dbr", "GB"),
+                                       ("quadratic.dbr", "QB")],
+                         ids=["f1_spec", "graded_spec", "quadratic_spec"])
 @pytest.mark.parametrize("order", ["left", "right"])
-def test_eval_words_fills_the_recursion_keys(make, order):
-    spec = make()
+def test_eval_words_fills_the_recursion_keys(file, name, order):
+    spec = block(file, name)
     words = list(spec.algebra.words_up_to(3))
     for w1, w2 in itertools.product(words, words):
         fresh = BracketSpec(spec.algebra, spec.shift, spec.table)
@@ -157,14 +159,14 @@ def test_eval_words_fills_the_recursion_keys(make, order):
 
 
 def test_jacobiator_f2_vanishes_on_generator_triple():
-    f2 = fx.f2_spec()
+    f2 = block("f2.dbr", "F2")
     A = f2.algebra
     x = A.monomial("x")
     assert not double_jacobiator(f2, x, x, x)
 
 
 def test_jacobiator_violator_residual():
-    bad = fx.jacobi_violator()
+    bad = block("fail_jacobi.dbr", "BAD")
     A = bad.algebra
     x, y = A.monomial("x"), A.monomial("y")
     got = double_jacobiator(bad, x, x, y)
@@ -172,7 +174,7 @@ def test_jacobiator_violator_residual():
 
 
 def test_jacobiator_rejects_inhomogeneous_input():
-    spec = fx.graded_spec()
+    spec = block("graded.dbr", "GB")
     A = spec.algebra
     a = A.monomial("a")
     with pytest.raises(ValueError, match="inhomogeneous input"):
@@ -180,7 +182,7 @@ def test_jacobiator_rejects_inhomogeneous_input():
 
 
 def test_leibniz_bracket_oracle():
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     got = leibniz_bracket(f1, A.monomial("x"), A.monomial("x.y"))
     assert got == A.monomial("x")
@@ -190,7 +192,7 @@ def test_leibniz_bracket_oracle():
 
 
 def test_f1_full_suite_passes():
-    rep = run_bracket_checks(fx.f1_spec(), max_len=3)
+    rep = run_bracket_checks(block("f1.dbr", "B"), max_len=3)
     assert rep.ok
     names = [e.axiom for e in rep.entries]
     assert names == [
@@ -205,11 +207,11 @@ def test_f1_full_suite_passes():
 
 
 def test_graded_suite_passes():
-    assert run_bracket_checks(fx.graded_spec(), max_len=3).ok
+    assert run_bracket_checks(block("graded.dbr", "GB"), max_len=3).ok
 
 
 def test_antisym_violator_signature():
-    rep = run_bracket_checks(fx.antisym_violator(), max_len=3)
+    rep = run_bracket_checks(block("fail_antisym.dbr", "BAD"), max_len=3)
     e = rep.entry("antisymmetry")
     assert not e.passed
     assert e.witness == "(x, x)"
@@ -219,7 +221,7 @@ def test_antisym_violator_signature():
 
 
 def test_jacobi_violator_signature():
-    rep = run_bracket_checks(fx.jacobi_violator(), max_len=3)
+    rep = run_bracket_checks(block("fail_jacobi.dbr", "BAD"), max_len=3)
     assert rep.entry("antisymmetry").passed
     e = rep.entry("double-jacobi")
     assert not e.passed
@@ -228,7 +230,7 @@ def test_jacobi_violator_signature():
 
 
 def test_quadratic_jacobiator_and_stability():
-    rep = run_bracket_checks(fx.quadratic_spec(), max_len=3, necklace=False)
+    rep = run_bracket_checks(block("quadratic.dbr", "QB"), max_len=3, necklace=False)
     e = rep.entry("double-jacobi")
     assert not e.passed
     assert e.witness == "(m, m, m)"
@@ -238,12 +240,12 @@ def test_quadratic_jacobiator_and_stability():
 
 
 def test_extension_order_checker_runs_both_orders():
-    assert check_extension_order(fx.f1_spec(), max_len=3).ok
-    assert check_extension_order(fx.f2_spec(), max_len=3).ok
+    assert check_extension_order(block("f1.dbr", "B"), max_len=3).ok
+    assert check_extension_order(block("f2.dbr", "F2"), max_len=3).ok
 
 
 def test_checkers_respect_max_len():
-    rep = check_antisymmetry(fx.f1_spec(), max_len=1)
+    rep = check_antisymmetry(block("f1.dbr", "B"), max_len=1)
     assert rep.max_len == 1 and rep.ok
 
 
@@ -251,7 +253,7 @@ def test_checkers_respect_max_len():
 
 
 def test_necklace_oracle_f1():
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     got = necklace_bracket(f1, A.word("x"), A.word("y"))
     assert got == {(): Fraction(1)}
@@ -261,7 +263,7 @@ def test_necklace_oracle_f1():
 
 
 def test_necklace_depends_only_on_class():
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     w = A.word("x.y")
     for rot in [A.word("x.y"), A.word("y.x")]:
@@ -276,11 +278,11 @@ def test_project_cyclic_merges_rotations():
 
 
 def test_necklace_jacobi_check_passes_f1():
-    assert check_necklace_jacobi(fx.f1_spec(), max_len=3).ok
+    assert check_necklace_jacobi(block("f1.dbr", "B"), max_len=3).ok
 
 
 def test_left_leibniz_residual_on_violator():
-    rep = check_left_leibniz(fx.antisym_violator(), max_len=3)
+    rep = check_left_leibniz(block("fail_antisym.dbr", "BAD"), max_len=3)
     e = rep.entry("left-leibniz")
     assert not e.passed
     assert e.residual == "- 2 * x.x.x"
@@ -297,7 +299,7 @@ def words_of(alg, max_len=2):
 @given(st.data())
 def test_antisymmetry_closure_under_extension(data):
     # the evaluator extension preserves the generator-level antisymmetry
-    spec = fx.f1_spec()
+    spec = block("f1.dbr", "B")
     A = spec.algebra
     w1 = data.draw(words_of(A))
     w2 = data.draw(words_of(A))
@@ -311,7 +313,7 @@ def test_antisymmetry_closure_under_extension(data):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_unit_annihilates_bracket(data):
-    spec = fx.f2_spec()
+    spec = block("f2.dbr", "F2")
     w = data.draw(words_of(spec.algebra, 3))
     assert not spec.eval_words((), w)
     assert not spec.eval_words(w, ())
@@ -320,7 +322,7 @@ def test_unit_annihilates_bracket(data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5))
 def test_eval_scales_bilinearly(c1, c2):
-    spec = fx.f1_spec()
+    spec = block("f1.dbr", "B")
     A = spec.algebra
     base = spec.eval_words(A.word("x"), A.word("y.x"))
     scaled = BracketSpec(
@@ -368,7 +370,7 @@ def test_rational_scaling_keeps_verdicts(data):
 @settings(max_examples=10, deadline=None)
 @given(NON_INTEGRAL)
 def test_rational_scaling_of_jacobi_residual(c):
-    spec = fx.jacobi_violator()
+    spec = block("fail_jacobi.dbr", "BAD")
     A = spec.algebra
     x, y = A.gen("x"), A.gen("y")
     got = check_double_jacobi(scaled_spec(spec, c), max_len=2).entry("double-jacobi")
@@ -430,7 +432,7 @@ def test_double_jacobi_matches_jacobiator_on_every_triple(spec):
 def test_cyclic_stability_witness_is_first_in_enumeration_order(monkeypatch, triple):
     # a jacobiator corrupted at one triple breaks stability there and at the
     # triple that rotates onto it, which its orbit may visit out of order
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     A = f1.algebra
     bad = tuple(A.word(w) for w in triple.split(", "))
     orbit = brackets._orbit_jacobiators
@@ -460,7 +462,7 @@ def test_double_jacobi_first_terms_once_per_orbit(monkeypatch):
         return first_terms(spec, *triple)
 
     monkeypatch.setattr(brackets, "_first_term_words", counted)
-    spec = fx.f1_spec()
+    spec = block("f1.dbr", "B")
     check_double_jacobi(spec, max_len=2)
     n = len(list(spec.algebra.words_up_to(2)))
     assert n == 7 and len(seen) == n ** 3 + 2 * n == 357
@@ -512,7 +514,7 @@ def test_necklace_brackets_once_per_pair(monkeypatch):
         return nb(spec, w1, w2)
 
     monkeypatch.setattr(brackets, "necklace_bracket", counted)
-    spec = fx.f1_spec()
+    spec = block("f1.dbr", "B")
     check_necklace_jacobi(spec, max_len=2)
     # unmemoised, the check asks 669 times for these 36 pairs
     words = [w for w in spec.algebra.words_up_to(2) if w]

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from dpoisson import fixtures as fx
 from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
 from dpoisson.brackets import necklace_bracket, render_cyclic, run_bracket_checks
 from dpoisson.dlr import BracketClass, classify_bracket, dlr_check
@@ -22,6 +21,9 @@ from dpoisson.calculus import (
     sn_bracket,
     universal_derivation,
 )
+from dpoisson.fixtures import koszul_f2_tables
+
+from conftest import block
 
 
 # -- forms and the universal derivation -----------------------------------
@@ -60,7 +62,7 @@ def test_universal_derivation_rejects_module_words():
 
 def test_lift_derivation_contraction():
     # i_h d on x.x reproduces {{x, x.x}} when h = {{x, -}}
-    f2 = fx.f2_spec()
+    f2 = block("f2.dbr", "F2")
     A = f2.algebra
     om = OmegaPresentation(A)
     amb = om.bimodule.ambient
@@ -85,7 +87,7 @@ def test_lift_derivation_rejects_mixed_values():
 
 
 def test_koszul_bracket_f2_oracle():
-    d = koszul_bracket(fx.f2_spec())
+    d = koszul_bracket(block("f2.dbr", "F2"))
     amb = d.bimodule.ambient
     dx, x = amb.index("dx"), amb.index("x")
     assert d.anchor_gen(dx, x).render() == "- 1 (*) x + x (*) 1"
@@ -95,11 +97,17 @@ def test_koszul_bracket_f2_oracle():
 
 
 def test_koszul_bracket_f2_equals_hand_tables():
-    assert koszul_bracket(fx.f2_spec()) == fx.koszul_f2_tables()
+    assert koszul_bracket(block("f2.dbr", "F2")) == block("koszul_f2.dbr", "K")
+
+
+def test_python_koszul_f2_tables_match_the_corpus():
+    # perfbench/ checks its answers against this copy, which must not drift
+    assert koszul_f2_tables() == block("koszul_f2.dbr", "K")
+    assert koszul_f2_tables() == koszul_bracket(block("f2.dbr", "F2"))
 
 
 def test_koszul_bracket_f1_oracle():
-    d = koszul_bracket(fx.f1_spec())
+    d = koszul_bracket(block("f1.dbr", "B"))
     amb = d.bimodule.ambient
     assert d.anchor_gen(amb.index("dx"), amb.index("y")).render() == "1 (*) 1"
     assert d.anchor_gen(amb.index("dy"), amb.index("x")).render() == "- 1 (*) 1"
@@ -111,16 +119,16 @@ def test_koszul_bracket_f1_oracle():
 
 def test_koszul_guard_rejects_non_poisson():
     with pytest.raises(ValueError, match="input is not double Poisson"):
-        koszul_bracket(fx.jacobi_violator())
+        koszul_bracket(block("fail_jacobi.dbr", "BAD"))
 
 
 def test_koszul_passes_all_dlr_conditions():
-    for spec in [fx.f1_spec(), fx.f2_spec()]:
+    for spec in [block("f1.dbr", "B"), block("f2.dbr", "F2")]:
         assert dlr_check(koszul_bracket(spec), max_len=3).ok
 
 
 def test_koszul_square_check():
-    for spec in [fx.f1_spec(), fx.f2_spec()]:
+    for spec in [block("f1.dbr", "B"), block("f2.dbr", "F2")]:
         rep = koszul_square_check(spec, max_len=3)
         assert rep.ok
         assert rep.entries[0].axiom == "koszul-square"
@@ -128,12 +136,12 @@ def test_koszul_square_check():
 
 def test_koszul_square_check_rejects_foreign_data():
     with pytest.raises(ValueError, match="does not present the forms"):
-        koszul_square_check(fx.f2_spec(), data=fx.idempotent_dlr())
+        koszul_square_check(block("f2.dbr", "F2"), data=block("idempotent.dbr", "IDEM"))
 
 
 def test_graded_koszul_bracket_is_consistent():
     # |a| = 1, r = -2 exercises every graded sign path
-    d = koszul_bracket(fx.graded_spec())
+    d = koszul_bracket(block("graded.dbr", "GB"))
     assert d.bimodule.mgens[0].degree == 1
     assert dlr_check(d, max_len=3).ok
 

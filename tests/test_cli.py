@@ -164,6 +164,30 @@ def test_big_coefficients_render_exactly(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("command", ["shift", "verify-shift"])
+def test_big_delta_is_read(capsys, tmp_path, command):
+    # the digit limit is lifted before the arguments are parsed
+    up = tmp_path / "up.dbr"
+    argv = [command, FIXDIR / "koszul_f2.dbr", "--dlr", "K", "--delta", BIG]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv, *(["-o", up] if command == "shift" else []))
+    assert (code, err) == (0, "")
+    if command == "shift":
+        assert f"gens = [ dx:{BIG} ]" in up.read_text()
+    else:
+        assert f"shift-equivalence (delta {BIG})" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["shift", "--delta", "x"]], ids=["help", "error"])
+def test_parser_exit_restores_the_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == limit
+
+
 # -- fuzz: any file ends in exit 0, 1 or 2, never a traceback --------------
 
 

@@ -15,7 +15,6 @@ from dpoisson.core import (
     Tensor3,
     cyclic_class,
     inner,
-    koszul_sign,
     outer,
     poly_mul,
     sign_exp,
@@ -40,24 +39,6 @@ def test_sign_exp_parity():
     assert sign_exp(1, 2) == 1
     assert sign_exp(3, 5) == -1
     assert sign_exp(-1, 1) == -1
-
-
-def test_koszul_sign_blocks():
-    # moving one odd element past one odd element
-    assert koszul_sign([1], [1]) == Fraction(-1)
-    # even degrees never contribute
-    assert koszul_sign([2, 4], [6, 1]) == Fraction(1)
-    # total parity is the product of pairwise parities
-    assert koszul_sign([1, 1], [1]) == Fraction(1)
-    assert koszul_sign([1, 1, 1], [1]) == Fraction(-1)
-
-
-@given(st.lists(st.integers(-3, 3), max_size=4), st.lists(st.integers(-3, 3), max_size=4))
-def test_koszul_sign_involution(moved, passed):
-    s = koszul_sign(moved, passed)
-    assert s in (Fraction(1), Fraction(-1))
-    # moving back cancels the sign
-    assert s * koszul_sign(moved, passed) == 1
 
 
 # -- words ----------------------------------------------------------------
@@ -180,7 +161,7 @@ def test_integral_coefficients_are_stored_as_int():
 
 def test_signs_are_ints():
     A = alg_graded()
-    assert type(koszul_sign([1], [1])) is int
+    assert type(sign_exp(1, 1)) is int
     assert type(cyclic_class(A, A.word("b.a"))[1]) is int
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpoisson import fixtures as fx
 from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
 from dpoisson.brackets import BracketSpec, run_bracket_checks
 from dpoisson.dlr import (
@@ -19,8 +18,10 @@ from dpoisson.dlr import (
     dlr_check,
     dlr_to_linear,
     linear_to_dlr,
-    quadratic_as_double_lie,
 )
+
+from conftest import block, broken_dlr_fixtures, dlr_fixtures
+from test_acceptance import product_fixtures
 
 
 # -- bimodule and data validation -----------------------------------------
@@ -71,14 +72,14 @@ def test_data_homogeneity_enforced():
 
 
 def test_koszul_tables_anchor_on_generators():
-    d = fx.koszul_f2_tables()
+    d = block("koszul_f2.dbr", "K")
     amb = d.bimodule.ambient
     got = d.anchor_eval(amb.word("dx"), amb.word("x"))
     assert got.render() == "- 1 (*) x + x (*) 1"
 
 
 def test_anchor_derivation_in_second_slot():
-    d = fx.koszul_f2_tables()
+    d = block("koszul_f2.dbr", "K")
     amb = d.bimodule.ambient
     # rho(dx, x.x) = rho(dx,x).x + x.rho(dx,x) with degree-0 signs trivial
     got = d.anchor_eval(amb.word("dx"), amb.word("x.x"))
@@ -86,20 +87,20 @@ def test_anchor_derivation_in_second_slot():
 
 
 def test_anchor_unit_slot_vanishes():
-    d = fx.koszul_f2_tables()
+    d = block("koszul_f2.dbr", "K")
     amb = d.bimodule.ambient
     assert not d.anchor_eval(amb.word("dx"), ())
 
 
 def test_anchor_left_module_action():
-    d = fx.koszul_f2_tables()
+    d = block("koszul_f2.dbr", "K")
     amb = d.bimodule.ambient
     got = d.anchor_eval(amb.word("x.dx"), amb.word("x"))
     assert got == tensor2(amb, ("x", "x"), ("1", "x.x", -1))
 
 
 def test_mb_eval_generators():
-    d = fx.koszul_f2_tables()
+    d = block("koszul_f2.dbr", "K")
     amb = d.bimodule.ambient
     l, r = d.mb_eval(amb.word("dx"), amb.word("dx"))
     assert l.render() == "dx (*) 1"
@@ -108,7 +109,7 @@ def test_mb_eval_generators():
 
 def test_mb_eval_extension_weight_profile():
     # every term of l stays in M (x) A and every term of r in A (x) M
-    d = fx.koszul_f2_tables()
+    d = block("koszul_f2.dbr", "K")
     amb = d.bimodule.ambient
     l, r = d.mb_eval(amb.word("x.dx"), amb.word("dx.x"))
     for w1, w2 in l.terms:
@@ -118,7 +119,7 @@ def test_mb_eval_extension_weight_profile():
 
 
 def test_idempotent_tables():
-    d = fx.idempotent_dlr()
+    d = block("idempotent.dbr", "IDEM")
     amb = d.bimodule.ambient
     l, r = d.mb_eval(amb.word("e"), amb.word("e"))
     assert l.render() == "e (*) 1"
@@ -137,7 +138,7 @@ CONDITIONS = [
 ]
 
 
-@pytest.mark.parametrize("name,data", fx.dlr_fixtures())
+@pytest.mark.parametrize("name,data", dlr_fixtures())
 def test_good_fixtures_pass_all_conditions(name, data):
     rep = dlr_check(data, max_len=3)
     assert [e.axiom for e in rep.entries] == CONDITIONS
@@ -145,7 +146,7 @@ def test_good_fixtures_pass_all_conditions(name, data):
 
 
 def test_flipped_anchor_generator_level_fails_only_c():
-    rep = dlr_check(fx.flipped_anchor_dlr(), max_len=1)
+    rep = dlr_check(block("flipped_anchor.dbr", "KBAD"), max_len=1)
     verdicts = dict(rep.verdict_vector())
     assert verdicts == {
         "a-antisymmetry": True,
@@ -157,7 +158,7 @@ def test_flipped_anchor_generator_level_fails_only_c():
 
 
 def test_flipped_anchor_word_level_signature():
-    rep = dlr_check(fx.flipped_anchor_dlr(), max_len=3)
+    rep = dlr_check(block("flipped_anchor.dbr", "KBAD"), max_len=3)
     c = rep.entry("c-anchor-jacobi")
     assert not c.passed
     assert c.witness == "(x, dx, dx)"
@@ -169,7 +170,7 @@ def test_flipped_anchor_word_level_signature():
 
 
 def test_dropped_term_generator_level_fails_a_and_d():
-    rep = dlr_check(fx.dropped_term_dlr(), max_len=1)
+    rep = dlr_check(block("dropped_term.dbr", "KBAD"), max_len=1)
     verdicts = dict(rep.verdict_vector())
     assert verdicts == {
         "a-antisymmetry": False,
@@ -181,7 +182,7 @@ def test_dropped_term_generator_level_fails_a_and_d():
 
 
 def test_dropped_term_word_level_signature():
-    rep = dlr_check(fx.dropped_term_dlr(), max_len=3)
+    rep = dlr_check(block("dropped_term.dbr", "KBAD"), max_len=3)
     assert rep.entry("a-antisymmetry").witness == "(dx, dx)"
     assert rep.entry("c-anchor-jacobi").witness == "(x, dx.x, dx)"
     assert rep.entry("d-double-jacobi").witness == "(dx, dx, dx)"
@@ -191,7 +192,7 @@ def test_dropped_term_word_level_signature():
 
 
 def test_dlr_to_linear_round_trip():
-    for name, data in fx.dlr_fixtures():
+    for name, data in dlr_fixtures():
         spec = dlr_to_linear(data)
         back = linear_to_dlr(spec, data.bimodule)
         assert back == data, name
@@ -199,7 +200,7 @@ def test_dlr_to_linear_round_trip():
 
 def test_dual_route_verdicts_agree():
     # own checker vs the generic double-bracket checker on the flattened spec
-    for name, data in fx.dlr_fixtures() + fx.broken_dlr_fixtures():
+    for name, data in dlr_fixtures() + broken_dlr_fixtures():
         own = dlr_check(data, max_len=3).ok
         spec = dlr_to_linear(data)
         gen = run_bracket_checks(spec, max_len=3, necklace=False)
@@ -252,7 +253,7 @@ def test_dlr_evaluators_match_the_linear_bracket(d):
 
 def test_linear_to_dlr_rejects_higher_terms():
     with pytest.raises(ValueError, match="not a linear bracket"):
-        linear_to_dlr(fx.quadratic_spec(), BimoduleSpec(FreeAlgebra(()), [Generator("m")]))
+        linear_to_dlr(block("quadratic.dbr", "QB"), BimoduleSpec(FreeAlgebra(()), [Generator("m")]))
 
 
 def test_linear_to_dlr_fills_missing_orientation():
@@ -273,54 +274,36 @@ def test_linear_to_dlr_fills_missing_orientation():
 
 
 def test_classify_linear():
-    spec = dlr_to_linear(fx.koszul_f2_tables())
+    spec = dlr_to_linear(block("koszul_f2.dbr", "K"))
     assert classify_bracket(spec) is BracketClass.LINEAR
 
 
 def test_classify_zero():
-    spec = dlr_to_linear(fx.zero_dlr())
+    spec = dlr_to_linear(block("zero.dbr", "ZERO"))
     assert classify_bracket(spec) is BracketClass.CONSTANT
     assert bracket_is_zero(spec)
 
 
 def test_classify_quadratic():
-    assert classify_bracket(fx.quadratic_spec()) is BracketClass.QUADRATIC
+    assert classify_bracket(block("quadratic.dbr", "QB")) is BracketClass.QUADRATIC
 
 
 def test_classify_requires_module_generators():
     with pytest.raises(ValueError, match="no module generators"):
-        classify_bracket(fx.f1_spec())
-
-
-def test_quadratic_as_double_lie_requires_trivial_base():
-    bm = BimoduleSpec(FreeAlgebra((Generator("x"),)), [Generator("m")])
-    amb = bm.ambient
-    spec = BracketSpec(amb, ShiftContext(0), {("m", "m"): tensor2(amb, ("m", "m"))})
-    with pytest.raises(ValueError, match="base algebra must be trivial"):
-        quadratic_as_double_lie(spec)
-
-
-def test_quadratic_as_double_lie_accepts_quadratic():
-    out = quadratic_as_double_lie(fx.quadratic_spec())
-    assert out is not None
-
-
-def test_quadratic_as_double_lie_rejects_linear():
-    with pytest.raises(ValueError, match="not a quadratic bracket"):
-        quadratic_as_double_lie(dlr_to_linear(fx.idempotent_dlr()))
+        classify_bracket(block("f1.dbr", "B"))
 
 
 # -- product tables -------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,bm,f,expected", fx.product_fixtures())
+@pytest.mark.parametrize("name,bm,f,expected", product_fixtures())
 def test_product_associativity_verdicts(name, bm, f, expected):
     rep = assoc_product_check(bm, f)
     assert rep.ok is expected, name
 
 
 def test_nonassoc_witness_is_first_lex_triple():
-    bm, f = fx.product_nonassoc()
+    _, bm, f, _ = product_fixtures()[2]
     rep = assoc_product_check(bm, f)
     e = rep.entry("associativity")
     assert e.witness == "(e, g, g)"

@@ -12,7 +12,6 @@ witness and residual byte for byte.
 import pytest
 
 from dpoisson import brackets
-from dpoisson import fixtures as fx
 from dpoisson.brackets import (
     BracketSpec,
     check_double_jacobi,
@@ -24,6 +23,8 @@ from dpoisson.calculus import koszul_square_check
 from dpoisson.core import tensor2
 from dpoisson.dlr import DLRData, dlr_check
 from dpoisson.reports import CheckReport
+
+from conftest import block
 
 
 def lines(rep) -> list:
@@ -54,7 +55,7 @@ class RightOrderDrift(BracketSpec):
 
 
 def test_extension_order_fail_line():
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     spec = RightOrderDrift(f1.algebra, f1.shift, f1.table)
     assert lines(check_extension_order(spec, max_len=2)) == [
         "extension-order: FAIL at (x.y, x.y)  residual: - 1 (*) 1",
@@ -71,7 +72,7 @@ class RightRuleScaled(BracketSpec):
 def test_extension_order_misses_a_scaled_right_rule():
     # both orders send a single-letter first slot through the right rule, so
     # the factor cancels in extension-order; antisymmetry catches it
-    f1 = fx.f1_spec()
+    f1 = block("f1.dbr", "B")
     rep = run_bracket_checks(RightRuleScaled(f1.algebra, f1.shift, f1.table),
                              max_len=2, necklace=False)
     assert lines(rep)[:2] == [
@@ -94,7 +95,7 @@ def test_jacobi_cyclic_stability_fail_line(monkeypatch):
         return jacs
 
     monkeypatch.setattr(brackets, "_orbit_jacobiators", corrupted)
-    assert lines(check_double_jacobi(fx.f1_spec(), max_len=2)) == [
+    assert lines(check_double_jacobi(block("f1.dbr", "B"), max_len=2)) == [
         "double-jacobi: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",
         "jacobi-cyclic-stability: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",
     ]
@@ -112,14 +113,14 @@ def test_necklace_representativity_fail_line(monkeypatch):
         return out
 
     monkeypatch.setattr(brackets, "necklace_bracket", corrupted)
-    assert lines(check_necklace_jacobi(fx.f1_spec(), max_len=2)) == [
+    assert lines(check_necklace_jacobi(block("f1.dbr", "B"), max_len=2)) == [
         "necklace-representativity: FAIL at (x.y, x) slot 1",
         "necklace-jacobi: PASS",
     ]
 
 
 def _koszul_f2_variant(cls) -> DLRData:
-    d = fx.koszul_f2_tables()
+    d = block("koszul_f2.dbr", "K")
     return cls(d.bimodule, d.shift, d.anchor, d.mbracket)
 
 
@@ -169,11 +170,11 @@ def test_b_derivation_compat_fail_line():
     ]
 
 
-@pytest.mark.parametrize("data, line", [
-    (fx.dropped_term_dlr, "koszul-square: FAIL at (x, x)  residual: - 1 (*) dx"),
-    (fx.flipped_anchor_dlr,
+@pytest.mark.parametrize("file, line", [
+    ("dropped_term.dbr", "koszul-square: FAIL at (x, x)  residual: - 1 (*) dx"),
+    ("flipped_anchor.dbr",
      "koszul-square: FAIL at (x, x.x)  residual: "
      "- 2 * 1 (*) x.dx + 2 * x (*) dx - 2 * dx (*) x + 2 * dx.x (*) 1"),
 ], ids=["dropped-term", "flipped-anchor"])
-def test_koszul_square_fail_line(data, line):
-    assert lines(koszul_square_check(fx.f2_spec(), data=data())) == [line]
+def test_koszul_square_fail_line(file, line):
+    assert lines(koszul_square_check(block("f2.dbr", "F2"), data=block(file, "KBAD"))) == [line]
