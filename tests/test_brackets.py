@@ -334,6 +334,38 @@ def test_eval_scales_bilinearly(c1, c2):
     assert got == base.scale(Fraction(c1 * c2))
 
 
+@st.composite
+def same_degree_sums(draw, alg, max_len=2):
+    """A sum of one to three words of one degree and length <= max_len, with
+    nonzero rational coefficients."""
+    by_degree = {}
+    for w in alg.words_up_to(max_len):
+        by_degree.setdefault(alg.degree(w), []).append(w)
+    words = by_degree[draw(st.sampled_from(sorted(by_degree)))]
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    return alg.poly(draw(st.dictionaries(st.sampled_from(words), coeffs,
+                                         min_size=1, max_size=3)))
+
+
+@pytest.mark.parametrize("file, name", [("f1.dbr", "B"), ("graded.dbr", "GB")])
+@pytest.mark.parametrize("f, slots", [(leibniz_bracket, 2), (double_jacobiator, 3)],
+                         ids=["leibniz_bracket", "double_jacobiator"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_linear_in_each_slot_on_sums(file, name, f, slots, data):
+    # f on sums is the coefficient-weighted sum of f on their words
+    spec = block(file, name)
+    A = spec.algebra
+    sums = [data.draw(same_degree_sums(A)) for _ in range(slots)]
+    want = f(spec, *(A.zero() for _ in range(slots)))
+    for picks in itertools.product(*(p.terms.items() for p in sums)):
+        c = 1
+        for _, cw in picks:
+            c *= cw
+        want = want + f(spec, *(A.poly({w: 1}) for w, _ in picks)).scale(c)
+    assert f(spec, *sums) == want
+
+
 NON_INTEGRAL = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(
     lambda c: c.denominator != 1)
 
