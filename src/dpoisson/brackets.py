@@ -36,6 +36,7 @@ from .core import (
     Word,
     _clean,
     add_into,
+    bilinear,
     cyclic_class,
     inner,
     outer,
@@ -68,11 +69,7 @@ class BracketSpec:
         self.shift = shift
         self.table: Dict[Tuple[int, int], Tensor2] = {}
         for key, val in table.items():
-            i, j = key
-            if isinstance(i, str):
-                i = algebra.index(i)
-            if isinstance(j, str):
-                j = algebra.index(j)
+            i, j = map(algebra.index, key)
             if not val:
                 continue
             if val.algebra != algebra:
@@ -170,17 +167,6 @@ class BracketSpec:
                                           c=sign_exp(deg(h), self.shift.r + deg(w1))))
 
 
-def extend_bracket(spec: BracketSpec, a: NCPoly, b: NCPoly) -> Tensor2:
-    """Bilinear extension of the generator table by the derivation rules."""
-    if a.algebra != spec.algebra or b.algebra != spec.algebra:
-        raise ValueError("incompatible algebras")
-    out = Tensor2(spec.algebra, {})
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            out = out + spec.eval_words(w1, w2).scale(c1 * c2)
-    return out
-
-
 def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> dict:
     """Raw terms of {{wa, {{wb,wc}}'}} (x) {{wb,wc}}'' in legs (1,2) (x) 3."""
     out: dict = {}
@@ -231,23 +217,25 @@ def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly) -> Ten
     for x in (a, b, c):
         if len(x.degrees()) > 1:
             raise ValueError("inhomogeneous input (Koszul signs undefined)")
-    out = Tensor3(spec.algebra, {})
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            for wc, cc in c.terms.items():
-                val = Tensor3(spec.algebra, _orbit_jacobiators(spec, wa, wb, wc)[0])
-                out = out + val.scale(ca * cb * cc)
-    return out
+    return Tensor3(spec.algebra, add_into({}, (
+        (key, ca * cb * cc * cf)
+        for wa, ca in a.terms.items() for wb, cb in b.terms.items() for wc, cc in c.terms.items()
+        for key, cf in _orbit_jacobiators(spec, wa, wb, wc)[0].items()
+    )))
+
+
+def _leibniz_words(spec: BracketSpec, w1: Word, w2: Word) -> dict:
+    """Raw terms of {w1, w2}: the two legs of {{w1, w2}} multiplied together."""
+    return add_into({}, ((u + v, c) for (u, v), c in spec.eval_words(w1, w2).terms.items()))
 
 
 def leibniz_bracket(spec: BracketSpec, a: NCPoly, b: NCPoly) -> NCPoly:
-    """{a,b} := multiply the two legs of {{a,b}} together."""
-    t = extend_bracket(spec, a, b)
-    out: dict = {}
-    for (u, v), c in t.terms.items():
-        w = u + v
-        out[w] = out.get(w, 0) + c
-    return NCPoly(spec.algebra, out)
+    """{a,b} := multiply the two legs of {{a,b}} together, extended
+    bilinearly from words."""
+    if a.algebra != spec.algebra or b.algebra != spec.algebra:
+        raise ValueError("incompatible algebras")
+    return NCPoly(spec.algebra,
+                  bilinear(functools.partial(_leibniz_words, spec), a.terms, b.terms))
 
 
 def necklace_bracket(spec: BracketSpec, w1: Word, w2: Word) -> Dict[Word, Scalar]:
@@ -257,16 +245,10 @@ def necklace_bracket(spec: BracketSpec, w1: Word, w2: Word) -> Dict[Word, Scalar
     every output word to its cyclic class; rotation-killed classes drop out,
     the empty word keys the unit class.
     """
-    alg = spec.algebra
     for w in (w1, w2):
         if not w:
             raise ValueError("unit has no cyclic class")
-    lb = leibniz_bracket(
-        spec,
-        NCPoly(alg, {w1: 1}),
-        NCPoly(alg, {w2: 1}),
-    )
-    return project_cyclic(alg, lb)
+    return project_cyclic(spec.algebra, NCPoly(spec.algebra, _leibniz_words(spec, w1, w2)))
 
 
 def project_cyclic(alg: FreeAlgebra, p: NCPoly) -> Dict[Word, Scalar]:
@@ -373,9 +355,7 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     alg, r = spec.algebra, spec.shift.r
     words = list(alg.words_up_to(max_len))
 
-    @functools.cache
-    def lb(wa: Word, wb: Word) -> dict:
-        return add_into({}, ((u + v, c) for (u, v), c in spec.eval_words(wa, wb).terms.items()))
+    lb = functools.cache(functools.partial(_leibniz_words, spec))
 
     def lb_wp(wa: Word, terms: dict) -> dict:
         out: dict = {}
@@ -427,8 +407,11 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
 def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     alg, r = spec.algebra, spec.shift.r
     words = [w for w in alg.words_up_to(max_len) if w]
-    # necklace_bracket once per pair; its values are only read
-    nb = functools.cache(lambda w1, w2: necklace_bracket(spec, w1, w2))
+    # necklace_bracket once per pair; its values are only read, and the
+    # bracket with the unit class vanishes
+    @functools.cache
+    def nb(w1: Word, w2: Word) -> dict:
+        return necklace_bracket(spec, w1, w2) if w1 and w2 else {}
 
     # representative independence: one rotation step in either slot changes
     # the result by exactly the rotation sign
@@ -457,22 +440,13 @@ def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         seen.add(cls[0])
         classes.append(cls[0])
 
-    def nb_ext(w: Word, m: Dict[Word, Scalar], w_first: bool = True) -> Dict[Word, Scalar]:
-        """The necklace bracket of class w with m, w in the first slot or
-        the second; the bracket with the unit class vanishes."""
-        return add_into({}, (
-            (k2, c * c2)
-            for k, c in m.items() if k
-            for k2, c2 in (nb(w, k) if w_first else nb(k, w)).items()
-        ))
-
     def failures():
+        # {a,{b,c}} = {{a,b},c} + s {b,{a,c}} on classes
         for a, b, c in itertools.product(classes, classes, classes):
-            lhs = _clean(nb_ext(a, nb(b, c)))
-            rhs = nb_ext(c, nb(a, b), w_first=False)
+            lhs = _clean(bilinear(nb, {a: 1}, nb(b, c)))
             s = sign_exp(r + alg.degree(a), r + alg.degree(b))
-            rhs = _clean(add_into(rhs, (
-                (k, s * v) for k, v in nb_ext(b, nb(a, c)).items())))
+            rhs = _clean(add_into(bilinear(nb, nb(a, b), {c: 1}),
+                                  bilinear(nb, {b: s}, nb(a, c)).items()))
             if lhs != rhs:
                 diff = _clean(add_into(dict(lhs), ((k, -v) for k, v in rhs.items())))
                 yield (f"([{alg.render_word(a)}], [{alg.render_word(b)}], [{alg.render_word(c)}])",

@@ -27,6 +27,7 @@ from .core import (
     Tensor3,
     Word,
     add_into,
+    bilinear,
     outer,
     sign_exp,
 )
@@ -99,8 +100,7 @@ def lift_derivation(omega: OmegaPresentation, h: Dict,
     alg = omega.bimodule.ambient
     table: dict = {}
     for key, val in h.items():
-        i = alg.index(key) if isinstance(key, str) else key
-        table[omega.form_of[i]] = val
+        table[omega.form_of[alg.index(key)]] = val
     kinds = {isinstance(val, Tensor2) for val in h.values()}
     if len(kinds) > 1:
         raise ValueError("mixed value kinds in derivation table")
@@ -182,19 +182,18 @@ def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
     amb = omega.bimodule.ambient
     words = list(spec.algebra.words_up_to(max_len))
 
+    def mb_terms(w1: Word, w2: Word) -> dict:
+        # the M (x) A and A (x) M components: their keys differ in leg weights
+        L, R = data.mb_eval(w1, w2)
+        return {**L.terms, **R.terms}
+
     def failures():
         for u, v in itertools.product(words, words):
             t = Tensor2(amb, spec.eval_words(u, v).terms)
             lhs = _legwise_d(omega, t, 0) + _legwise_d(omega, t, 1)
             du = universal_derivation(omega, u)
             dv = universal_derivation(omega, v)
-            acc: dict = {}
-            for w1, c1 in du.terms.items():
-                for w2, c2 in dv.terms.items():
-                    L, R = data.mb_eval(w1, w2)
-                    add_into(acc, ((key, c1 * c2 * c) for key, c in
-                                   itertools.chain(L.terms.items(), R.terms.items())))
-            diff = lhs - Tensor2(amb, acc)
+            diff = lhs - Tensor2(amb, bilinear(mb_terms, du.terms, dv.terms))
             if diff:
                 yield spec.algebra.render_words(u, v), diff.render()
 

@@ -19,9 +19,11 @@ A (x) A (Van den Bergh, *Double Poisson algebras*, section 2):
 
 A double bracket is a derivation in its second slot for the outer action
 and in its first slot for the inner one; `outer` and `inner` add an action
-into an accumulating dict.  The hot kernels (the double-Jacobi orbit kernel
-and left Leibniz in `brackets.py`, dlr conditions (c) and (d), and the
-closure composites of `calculus.py`) move their legs inline.
+into an accumulating dict, as `add_into` adds raw (key, coefficient) pairs
+and `bilinear` the bilinear extension of a map defined on pairs of words.
+The hot kernels (the double-Jacobi orbit kernel and left Leibniz in
+`brackets.py`, dlr conditions (c) and (d), and the closure composites of
+`calculus.py`) move their legs inline.
 
 Every graded sign in the package is produced by `sign_exp`: moving material
 of total degree d1 past material of total degree d2 costs (-1)^(d1*d2).
@@ -111,7 +113,10 @@ class FreeAlgebra:
 
     # -- generator access -------------------------------------------------
 
-    def index(self, name: str) -> int:
+    def index(self, name) -> int:
+        """Index of the generator named `name`; an index is returned as is."""
+        if isinstance(name, int):
+            return name
         try:
             return self._index[name]
         except KeyError:
@@ -219,6 +224,15 @@ def add_into(out: dict, pairs: Iterable) -> dict:
     for k, c in pairs:
         out[k] = out.get(k, 0) + c
     return out
+
+
+def bilinear(f, xs: Mapping, ys: Mapping) -> dict:
+    """Raw terms of the bilinear extension of f, which maps a pair of keys
+    to a term map, over the term maps xs and ys."""
+    return add_into({}, (
+        (k, cx * cy * c)
+        for x, cx in xs.items() for y, cy in ys.items() for k, c in f(x, y).items()
+    ))
 
 
 @functools.lru_cache(maxsize=None)

@@ -47,6 +47,7 @@ from .core import (
     Tensor2,
     Tensor3,
     Word,
+    bilinear,
     inner,
     outer,
     sign_exp,
@@ -85,17 +86,14 @@ class BimoduleSpec:
 
     def module_words(self, max_len: int):
         """Weight-one words up to max_len: p m q with p, q base."""
-        base = [w for w in self.base_words(max_len - 1)]
+        by_len: dict = {}
+        for w in self.base_words(max_len - 1):
+            by_len.setdefault(len(w), []).append(w)
         for total in range(1, max_len + 1):
             for pl in range(total):
-                ql = total - 1 - pl
-                for p in base:
-                    if len(p) != pl:
-                        continue
-                    for m in self.ambient.module_indices:
-                        for q in base:
-                            if len(q) == ql:
-                                yield p + (m,) + q
+                for p, m, q in itertools.product(by_len.get(pl, ()), self.ambient.module_indices,
+                                                 by_len.get(total - 1 - pl, ())):
+                    yield p + (m,) + q
 
 
 def _split_module_word(alg: FreeAlgebra, w: Word) -> Tuple[Word, int, Word]:
@@ -117,13 +115,13 @@ class DLRData:
         alg = bimodule.ambient
         self.anchor: Dict[Tuple[int, int], Tensor2] = {}
         for key, val in anchor.items():
-            i, j = (alg.index(k) if isinstance(k, str) else k for k in key)
+            i, j = map(alg.index, key)
             if not val:
                 continue
             self.anchor[(i, j)] = val
         self.mbracket: Dict[Tuple[int, int], Tuple[Tensor2, Tensor2]] = {}
         for key, val in mbracket.items():
-            i, j = (alg.index(k) if isinstance(k, str) else k for k in key)
+            i, j = map(alg.index, key)
             l, r = val
             if not l and not r:
                 continue
@@ -533,21 +531,16 @@ def assoc_product_check(bimodule: BimoduleSpec, f: Dict) -> CheckReport:
     if bimodule.base.gens:
         raise ValueError("base algebra must be trivial")
     alg = bimodule.ambient
-    table: Dict[Tuple[int, int], NCPoly] = {}
+    table: Dict[Tuple[int, int], dict] = {}
     for key, val in f.items():
-        i, j = (alg.index(k) if isinstance(k, str) else k for k in key)
+        i, j = map(alg.index, key)
         if isinstance(val, str):
             val = alg.gen(val)
-        table[(i, j)] = val
+        table[(i, j)] = val.terms
 
     def prod(x: NCPoly, y: NCPoly) -> NCPoly:
-        out = alg.zero()
-        for wx, cx in x.terms.items():
-            for wy, cy in y.terms.items():
-                entry = table.get((wx[0], wy[0]))
-                if entry is not None:
-                    out = out + entry.scale(cx * cy)
-        return out
+        return NCPoly(alg, bilinear(lambda wx, wy: table.get((wx[0], wy[0]), {}),
+                                    x.terms, y.terms))
 
     def failures():
         gens = [NCPoly(alg, {(i,): 1}) for i in range(len(alg.gens))]

@@ -347,7 +347,9 @@ def same_degree_sums(draw, alg, max_len=2):
                                          min_size=1, max_size=3)))
 
 
-@pytest.mark.parametrize("file, name", [("f1.dbr", "B"), ("graded.dbr", "GB")])
+# the jacobiators of f1 and graded vanish; fail_jacobi's do not
+@pytest.mark.parametrize("file, name", [("f1.dbr", "B"), ("graded.dbr", "GB"),
+                                        ("fail_jacobi.dbr", "BAD")])
 @pytest.mark.parametrize("f, slots", [(leibniz_bracket, 2), (double_jacobiator, 3)],
                          ids=["leibniz_bracket", "double_jacobiator"])
 @settings(max_examples=25, deadline=None)

@@ -56,6 +56,13 @@ def test_word_unknown_generator():
         A.word("x.z")
 
 
+def test_index_reads_names_and_indices():
+    A = alg_xy()
+    assert (A.index("y"), A.index(1)) == (1, 1)
+    with pytest.raises(KeyError, match="unknown generator 'z'"):
+        A.index("z")
+
+
 def test_degree_additive_under_concatenation():
     A = alg_graded()
     w1, w2 = A.word("a.b"), A.word("b.a.a")

@@ -43,6 +43,17 @@ def test_bimodule_word_generators():
     assert bm.ambient.word("x.m") in mod
 
 
+@pytest.mark.parametrize("base, mgens", [("xy", "mn"), ("", "m")])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 3])
+def test_module_words_order(base, mgens, max_len):
+    # every weight-one word p m q, by length, then length of p, then p, m, q
+    bm = BimoduleSpec(FreeAlgebra(tuple(map(Generator, base))), list(map(Generator, mgens)))
+    amb = bm.ambient
+    want = sorted((w for w in amb.words_up_to(max_len) if amb.weight(w) == 1),
+                  key=lambda w: (len(w), list(map(amb.is_module, w)).index(True), w))
+    assert list(bm.module_words(max_len)) == want
+
+
 def test_anchor_must_pair_module_with_base():
     bm = BimoduleSpec(FreeAlgebra((Generator("x"),)), [Generator("m")])
     amb = bm.ambient
