@@ -113,7 +113,7 @@ class FreeAlgebra:
 
     # -- generator access -------------------------------------------------
 
-    def index(self, name) -> int:
+    def index(self, name: Union[str, int]) -> int:
         """Index of the generator named `name`; an index is returned as is."""
         if isinstance(name, int):
             return name

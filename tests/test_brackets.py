@@ -6,6 +6,7 @@ drifts from them.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -361,9 +362,7 @@ def test_linear_in_each_slot_on_sums(file, name, f, slots, data):
     sums = [data.draw(same_degree_sums(A)) for _ in range(slots)]
     want = f(spec, *(A.zero() for _ in range(slots)))
     for picks in itertools.product(*(p.terms.items() for p in sums)):
-        c = 1
-        for _, cw in picks:
-            c *= cw
+        c = math.prod(cw for _, cw in picks)
         want = want + f(spec, *(A.poly({w: 1}) for w, _ in picks)).scale(c)
     assert f(spec, *sums) == want
 
