@@ -206,21 +206,37 @@ def _orbit_jacobiators(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> tuple
 
 
 def double_jacobiator(spec: BracketSpec, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
-    """Three-term cyclic sum whose vanishing is the double Jacobi identity.
+    """Three-term cyclic sum whose vanishing is the double Jacobi identity,
+    from its definition and independently of the orbit kernel of
+    check_double_jacobi, so that each tests the other:
 
-    Input rotations move whole shifted slots (degree |x|+r); output leg
-    rotations act on plain algebra factors.
+      J(a, b, c) = F(a, b, c) + (-1)^((A+B)C) rot F(c, a, b)
+                              + (-1)^((B+C)A) rot^2 F(b, c, a)
+
+    F is the first term {{a, {{b, c}}'}} (x) {{b, c}}''.  Input rotations
+    move whole shifted slots, of degrees A, B, C = |x| + r; the signed leg
+    rotation rot, p1 (x) p2 (x) p3 -> p2 (x) p3 (x) p1, acts on plain
+    algebra factors.
     """
+    alg, r = spec.algebra, spec.shift.r
     for x in (a, b, c):
-        if x.algebra != spec.algebra:
+        if x.algebra != alg:
             raise ValueError("incompatible algebras")
     for x in (a, b, c):
         if len(x.degrees()) > 1:
             raise ValueError("inhomogeneous input (Koszul signs undefined)")
-    return Tensor3(spec.algebra, add_into({}, (
+
+    def words(wa: Word, wb: Word, wc: Word) -> dict:
+        A, B, C = (alg.degree(w) + r for w in (wa, wb, wc))
+        F = [Tensor3(alg, _first_term_words(spec, *t))
+             for t in ((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))]
+        return (F[0] + F[1].permute((1, 2, 0), sign_exp(A + B, C))
+                + F[2].permute((2, 0, 1), sign_exp(B + C, A))).terms
+
+    return Tensor3(alg, add_into({}, (
         (key, ca * cb * cc * cf)
         for wa, ca in a.terms.items() for wb, cb in b.terms.items() for wc, cc in c.terms.items()
-        for key, cf in _orbit_jacobiators(spec, wa, wb, wc)[0].items()
+        for key, cf in words(wa, wb, wc).items()
     )))
 
 

@@ -4,6 +4,8 @@ Omega carries one form generator per algebra generator, same degree, so the
 universal derivation d has degree 0 and needs no signs.  Der carries one
 double derivation generator per algebra generator with degree -|x_i| - r;
 its pairing against algebra words is the two-sided partial derivative.
+d and the pairing take single words; lift_derivation contracts forms
+against a table of double derivations.
 
 koszul_bracket turns a double Poisson bracket on A into double
 Lie-Rinehart data on Omega by differentiating the table legwise.
@@ -15,7 +17,7 @@ the defining composites, not assumed.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 from .core import (
     Colour,
@@ -56,9 +58,6 @@ class OmegaPresentation:
     """Bimodule of noncommutative 1-forms on a free base algebra."""
 
     def __init__(self, base: FreeAlgebra):
-        for g in base.gens:
-            if g.colour is not Colour.BASE:
-                raise ValueError("base algebra must have BASE generators only")
         self.base = base
         self.bimodule = _prefixed_bimodule(base, "d", lambda g: g.degree)
         n = len(base.gens)
@@ -76,56 +75,40 @@ def _d_words(omega: OmegaPresentation, w: Word):
         yield w[:j] + (omega.form_of[letter],) + w[j + 1:]
 
 
-def universal_derivation(omega: OmegaPresentation, x: Union[NCPoly, Word]) -> NCPoly:
-    """d(w) replaces each letter of w by its form generator in turn."""
-    if isinstance(x, NCPoly):
-        items = x.terms.items()
-    else:
-        items = [(tuple(x), 1)]
-    return NCPoly(omega.bimodule.ambient, add_into({}, (
-        (dw, c) for w, c in items for dw in _d_words(omega, w)
-    )))
+def universal_derivation(omega: OmegaPresentation, w: Word) -> NCPoly:
+    """d(w) of a base word w replaces each letter of w by its form generator
+    in turn."""
+    # the words differ in the position of their one form letter
+    return NCPoly(omega.bimodule.ambient, dict.fromkeys(_d_words(omega, w), 1))
 
 
 def lift_derivation(omega: OmegaPresentation, h: Dict,
                     source_degree: int = 0) -> Callable:
-    """Contraction against a table on the form generators.
+    """Contraction of forms against a double derivation h, given as a
+    table from base generators to Tensor2 values.
 
-    h maps base generators either to Tensor2 values (a double derivation)
-    or to NCPoly values (a plain M-valued derivation).  In the Tensor2
-    branch the contraction picks up (-1)^(source_degree * |prefix|) when
+    The contraction of p dx q picks up (-1)^(source_degree * |p|) when
     sliding past the letters before the form; source_degree r + |a| makes
     the contraction of d against {{a, -}} reproduce the bracket exactly.
+    Base words contract to zero.
     """
     alg = omega.bimodule.ambient
     table: dict = {}
     for key, val in h.items():
         table[omega.form_of[alg.index(key)]] = val
-    kinds = {isinstance(val, Tensor2) for val in h.values()}
-    if len(kinds) > 1:
-        raise ValueError("mixed value kinds in derivation table")
-    tensor_valued = kinds == {True}
 
-    def contract(p: NCPoly):
+    def contract(p: NCPoly) -> Tensor2:
         if p.algebra != alg:
             raise ValueError("incompatible algebras")
         out: dict = {}
         for w, c in p.terms.items():
-            pos = [k for k, i in enumerate(w) if alg.is_module(i)]
-            if not pos:
+            if not alg.weight(w):
                 continue
-            if len(pos) > 1:
-                raise ValueError(f"not a weight-one word: {alg.render_word(w)}")
-            k = pos[0]
-            pre, form, post = w[:k], w[k], w[k + 1:]
+            pre, form, post = _split_module_word(alg, w)
             val = table.get(form)
-            if val is None:
-                continue
-            if tensor_valued:
+            if val is not None:
                 outer(out, val, pre, post, sign_exp(source_degree, alg.degree(pre)) * c)
-            else:
-                add_into(out, ((pre + wv + post, c * c2) for wv, c2 in val.terms.items()))
-        return (Tensor2 if tensor_valued else NCPoly)(alg, out)
+        return Tensor2(alg, out)
 
     return contract
 
@@ -145,15 +128,8 @@ def koszul_bracket(spec: BracketSpec) -> DLRData:
     if not check_antisymmetry(spec, 2).ok or not check_double_jacobi(spec, 2).ok:
         raise ValueError("input is not double Poisson")
     base = spec.algebra
-    if base.module_indices:
-        raise ValueError("base algebra must have BASE generators only")
     omega = OmegaPresentation(base)
     amb = omega.bimodule.ambient
-
-    def relift(t: Tensor2) -> Tensor2:
-        # base words keep their indices in the ambient algebra
-        return Tensor2(amb, t.terms)
-
     anchor: dict = {}
     mbracket: dict = {}
     for i in range(len(base.gens)):
@@ -161,7 +137,8 @@ def koszul_bracket(spec: BracketSpec) -> DLRData:
             val = spec.elem(i, j)
             if not val:
                 continue
-            lifted = relift(val)
+            # base words keep their indices in the ambient algebra
+            lifted = Tensor2(amb, val.terms)
             anchor[(omega.form_of[i], j)] = lifted
             l = _legwise_d(omega, lifted, 0)
             r = _legwise_d(omega, lifted, 1)
@@ -204,9 +181,6 @@ class DerPresentation:
     """Bimodule of generating double derivations, degree -|x_i| - r."""
 
     def __init__(self, base: FreeAlgebra, shift: ShiftContext = ShiftContext(0)):
-        for g in base.gens:
-            if g.colour is not Colour.BASE:
-                raise ValueError("base algebra must have BASE generators only")
         self.base = base
         self.shift = shift
         self.bimodule = _prefixed_bimodule(
@@ -227,28 +201,14 @@ def double_partial(der: DerPresentation, i: int, w: Word) -> Tensor2:
     )))
 
 
-def ev_pairing(der: DerPresentation, xi, w) -> Tensor2:
-    """Evaluate a weight-one derivation word p D_i q on algebra words:
-    the partial acts inside, p and q close around it, and q pays the sign
-    for sliding past the argument."""
+def ev_pairing(der: DerPresentation, xi: Word, w: Word) -> Tensor2:
+    """Evaluate a weight-one derivation word xi = p D_i q on an algebra
+    word w: the partial acts inside, p and q close around it, and q pays
+    the sign for sliding past the argument."""
     alg = der.bimodule.ambient
-    if isinstance(xi, NCPoly):
-        xi_items = xi.terms.items()
-    else:
-        xi_items = [(tuple(xi), 1)]
-    if isinstance(w, NCPoly):
-        w_items = w.terms.items()
-    else:
-        w_items = [(tuple(w), 1)]
-    out: dict = {}
-    for wx, cx in xi_items:
-        p, D, q = _split_module_word(alg, wx)
-        i = der.base_of[D]
-        dq = alg.degree(q)
-        for ww, cw in w_items:
-            outer(out, double_partial(der, i, ww), p, q,
-                  sign_exp(dq, alg.degree(ww)) * cx * cw)
-    return Tensor2(alg, out)
+    p, D, q = _split_module_word(alg, xi)
+    return Tensor2(alg, outer({}, double_partial(der, der.base_of[D], w), p, q,
+                              sign_exp(alg.degree(q), alg.degree(w))))
 
 
 def phi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Tensor3:

@@ -114,13 +114,12 @@ class FreeAlgebra:
     # -- generator access -------------------------------------------------
 
     def index(self, name: Union[str, int]) -> int:
-        """Index of the generator named `name`; an index is returned as is."""
-        if isinstance(name, int):
-            return name
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown generator {name!r}") from None
+        """Index of the generator named `name`; an index in range is returned
+        as is."""
+        i = name if isinstance(name, int) else self._index.get(name)
+        if i is None or not 0 <= i < len(self.gens):
+            raise KeyError(f"unknown generator {name!r}")
+        return i
 
     @property
     def base_indices(self) -> tuple:

@@ -326,7 +326,7 @@ def _b_derivation_compat(d: DLRData, mwords: list):
     deg = alg.degree
     for w1, w2 in itertools.product(mwords, mwords):
         L2, R2 = d.mb_eval(w1, w2)
-        pos = next(k for k, i in enumerate(w2) if alg.is_module(i))
+        pos = len(_split_module_word(alg, w2)[0])
         for cut in range(1, len(w2)):
             if cut <= pos:
                 # w2 = a n with a = w2[:cut] base, n weight one:
@@ -536,6 +536,9 @@ def assoc_product_check(bimodule: BimoduleSpec, f: Dict) -> CheckReport:
         i, j = map(alg.index, key)
         if isinstance(val, str):
             val = alg.gen(val)
+        if any(len(w) != 1 for w in val.terms):
+            raise ValueError(f"product value for ({alg.gens[i].name}, {alg.gens[j].name}) "
+                             "must be a combination of generators")
         table[(i, j)] = val.terms
 
     def prod(x: NCPoly, y: NCPoly) -> NCPoly:

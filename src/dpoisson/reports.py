@@ -56,17 +56,13 @@ class CheckReport:
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def add(self, axiom: str, passed: bool, witness=None, residual=None):
-        self.entries.append(AxiomCheck(axiom, passed, witness, residual))
-
     def first_failure(self, axiom: str, failures: Iterable) -> "CheckReport":
         """Record axiom as failing at the first (witness, residual) pair of
-        failures, or as passing when failures is empty."""
+        failures, or as passing when failures is empty; the one place a
+        verdict is recorded."""
         fail = next(iter(failures), None)
-        if fail is None:
-            self.add(axiom, True)
-        else:
-            self.add(axiom, False, *fail)
+        self.entries.append(AxiomCheck(axiom, True) if fail is None
+                            else AxiomCheck(axiom, False, *fail))
         return self
 
     def entry(self, axiom: str) -> AxiomCheck:

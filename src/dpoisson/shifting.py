@@ -50,13 +50,7 @@ def verify_shift_equivalence(d: DLRData, delta: int, max_len: int = 3) -> CheckR
     rep = CheckReport(f"shift-equivalence (delta {delta})", max_len)
     for e1 in before.entries:
         e2 = after.entry(e1.axiom)
-        agree = e1.passed == e2.passed
-        rep.add(
-            e1.axiom,
-            agree,
-            witness=None if agree else (
-                f"unshifted {'PASS' if e1.passed else 'FAIL'}, "
-                f"shifted {'PASS' if e2.passed else 'FAIL'}"
-            ),
-        )
+        rep.first_failure(e1.axiom, [] if e1.passed == e2.passed else [(
+            f"unshifted {'PASS' if e1.passed else 'FAIL'}, "
+            f"shifted {'PASS' if e2.passed else 'FAIL'}", None)])
     return rep

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpoisson import brackets
-from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, sign_exp, tensor2
+from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, Tensor3, sign_exp, tensor2
 from dpoisson.brackets import (
     BracketSpec,
     antisym_partner,
@@ -69,6 +69,15 @@ def test_spec_unknown_generator_key():
     A = FreeAlgebra((Generator("x"),))
     with pytest.raises(KeyError):
         BracketSpec(A, ShiftContext(0), {("x", "z"): tensor2(A, ("1", "1"))})
+
+
+@pytest.mark.parametrize("i", [5, -1])
+def test_spec_rejects_an_index_out_of_range(i):
+    # an out-of-range index is an unknown generator, like an unknown name;
+    # -1 would otherwise key an entry that no lookup reads
+    A = FreeAlgebra((Generator("x"),))
+    with pytest.raises(KeyError, match=f"unknown generator {i}"):
+        BracketSpec(A, ShiftContext(0), {(0, i): tensor2(A, ("1", "1"))})
 
 
 def test_antisym_partner_degree_zero_is_negated_swap():
@@ -434,14 +443,18 @@ def homogeneous_specs(draw):
     return BracketSpec(A, ShiftContext(r), table)
 
 
-def reference_double_jacobi(spec, max_len):
+def reference_double_jacobi(spec, max_len, bump=None):
     """Both double-Jacobi entries straight from double_jacobiator on every
     monomial triple in product order: the first nonzero jacobiator, and the
-    first one not fixed by the signed rotation; None for a pass."""
+    first one not fixed by the signed rotation; None for a pass.  A bump
+    (triple, key) adds 1 at key to the jacobiator of that triple."""
     A, r = spec.algebra, spec.shift.r
     words = list(A.words_up_to(max_len))
     jac = {t: double_jacobiator(spec, *(A.poly({w: 1}) for w in t))
            for t in itertools.product(words, repeat=3)}
+    if bump is not None:
+        t, key = bump
+        jac[t] = jac[t] + Tensor3(A, {key: 1})
 
     def rotation_residual(t):
         d1, d2, d3 = (A.degree(w) + r for w in t)
@@ -480,7 +493,8 @@ def test_cyclic_stability_witness_is_first_in_enumeration_order(monkeypatch, tri
 
     monkeypatch.setattr(brackets, "_orbit_jacobiators", corrupted)
     rep = check_double_jacobi(f1, max_len=2)
-    assert [(e.witness, e.residual) for e in rep.entries] == reference_double_jacobi(f1, 2)
+    assert ([(e.witness, e.residual) for e in rep.entries]
+            == reference_double_jacobi(f1, 2, bump=(bad, key)))
 
 
 def test_double_jacobi_first_terms_once_per_orbit(monkeypatch):

@@ -1,11 +1,9 @@
 """Noncommutative forms, the Koszul construction, and the double
 Schouten-Nijenhuis bracket on derivations."""
 
-from fractions import Fraction
-
 import pytest
 
-from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
+from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
 from dpoisson.brackets import necklace_bracket, render_cyclic, run_bracket_checks
 from dpoisson.dlr import BracketClass, classify_bracket, dlr_check
 from dpoisson.calculus import (
@@ -44,6 +42,20 @@ def test_omega_rejects_name_collision():
         OmegaPresentation(A)
 
 
+@pytest.mark.parametrize("build", [OmegaPresentation, DerPresentation])
+def test_presentations_reject_module_generators_in_the_base(build):
+    A = FreeAlgebra((Generator("x"), Generator("m", 0, Colour.MODULE)))
+    with pytest.raises(ValueError, match="base algebra must have BASE generators only"):
+        build(A)
+
+
+def test_module_generator_in_the_base_reports_its_name_collision():
+    # the prefixed name is checked before the bimodule is built
+    A = FreeAlgebra((Generator("x"), Generator("dx", 0, Colour.MODULE)))
+    with pytest.raises(ValueError, match="generator name collision: 'dx'"):
+        OmegaPresentation(A)
+
+
 def test_universal_derivation_leibniz():
     A = FreeAlgebra((Generator("x"),))
     om = OmegaPresentation(A)
@@ -74,13 +86,13 @@ def test_lift_derivation_contraction():
     assert got.terms == want.terms
 
 
-def test_lift_derivation_rejects_mixed_values():
-    A = FreeAlgebra((Generator("x"), Generator("y")))
-    om = OmegaPresentation(A)
+def test_lift_derivation_rejects_weight_two_forms():
+    om = OmegaPresentation(FreeAlgebra((Generator("x"),)))
     amb = om.bimodule.ambient
-    h = {"x": Tensor2(amb, {((), ()): Fraction(1)}), "y": amb.one()}
-    with pytest.raises(ValueError, match="mixed value kinds"):
-        lift_derivation(om, h)
+    contract = lift_derivation(om, {"x": tensor2(amb, ("1", "1"))})
+    assert not contract(amb.monomial("x.x"))
+    with pytest.raises(ValueError, match="not a weight-one word: dx.dx"):
+        contract(amb.monomial("dx.dx"))
 
 
 # -- koszul construction --------------------------------------------------

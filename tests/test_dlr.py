@@ -325,3 +325,10 @@ def test_product_check_requires_trivial_base():
     bm = BimoduleSpec(FreeAlgebra((Generator("x"),)), [Generator("m")])
     with pytest.raises(ValueError, match="base algebra must be trivial"):
         assoc_product_check(bm, {("m", "m"): "m"})
+
+
+def test_product_check_rejects_a_value_off_the_generators():
+    bm = BimoduleSpec(FreeAlgebra(()), [Generator("m")])
+    with pytest.raises(ValueError, match=r"product value for \(m, m\) must be a "
+                                         "combination of generators"):
+        assoc_product_check(bm, {("m", "m"): bm.ambient.one()})

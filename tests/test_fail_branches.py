@@ -4,14 +4,15 @@ The three bracket coherence checks (extension-order, jacobi-cyclic-stability,
 necklace-representativity) and the two dlr coherence checks
 (anchor-properties, b-derivation-compat) hold on every valid input, so each
 is driven here by an evaluator with one value corrupted on purpose.  The
-koszul-square cases pair a bracket with dlr data that do not come from it.
+koszul-square cases pair a bracket with dlr data that do not come from it,
+and the shift-equivalence case a shift that returns other data.
 The expected lines are frozen: a rewrite of any check must reproduce its
 witness and residual byte for byte.
 """
 
 import pytest
 
-from dpoisson import brackets
+from dpoisson import brackets, shifting
 from dpoisson.brackets import (
     BracketSpec,
     check_double_jacobi,
@@ -20,11 +21,12 @@ from dpoisson.brackets import (
     run_bracket_checks,
 )
 from dpoisson.calculus import koszul_square_check
+from dpoisson.cli import main
 from dpoisson.core import tensor2
 from dpoisson.dlr import DLRData, dlr_check
 from dpoisson.reports import CheckReport
 
-from conftest import block
+from conftest import FIXDIR, block
 
 
 def lines(rep) -> list:
@@ -178,3 +180,24 @@ def test_b_derivation_compat_fail_line():
 ], ids=["dropped-term", "flipped-anchor"])
 def test_koszul_square_fail_line(file, line):
     assert lines(koszul_square_check(block("f2.dbr", "F2"), data=block(file, "KBAD"))) == [line]
+
+
+def test_verify_shift_fail_lines(monkeypatch, capsys):
+    # a "shift" of koszul_f2 that drops a term of its bracket: the verdicts
+    # of (a), (c) and (d) disagree
+    monkeypatch.setattr(shifting, "shift_dlr",
+                        lambda d, delta: block("dropped_term.dbr", "KBAD"))
+    want = [
+        "a-antisymmetry: FAIL at unshifted PASS, shifted FAIL",
+        "anchor-properties: PASS",
+        "b-derivation-compat: PASS",
+        "c-anchor-jacobi: FAIL at unshifted PASS, shifted FAIL",
+        "d-double-jacobi: FAIL at unshifted PASS, shifted FAIL",
+    ]
+    rep = shifting.verify_shift_equivalence(block("koszul_f2.dbr", "K"), 1, max_len=2)
+    assert lines(rep) == want
+    code = main(["verify-shift", str(FIXDIR / "koszul_f2.dbr"), "--dlr", "K",
+                 "--delta", "1", "--max-len", "2"])
+    assert code == 1
+    assert capsys.readouterr().out == "\n".join(
+        ["check shift-equivalence (delta 1) (max-len 2)", *want, "result: FAIL", ""])
