@@ -170,7 +170,7 @@ def koszul_square_check(spec: BracketSpec, data: Optional[DLRData] = None,
             lhs = _legwise_d(omega, t, 0) + _legwise_d(omega, t, 1)
             du = universal_derivation(omega, u)
             dv = universal_derivation(omega, v)
-            diff = lhs - Tensor2(amb, bilinear(mb_terms, du.terms, dv.terms))
+            diff = lhs - Tensor2(amb, bilinear({}, mb_terms, du.terms, dv.terms))
             if diff:
                 yield spec.algebra.render_words(u, v), diff.render()
 

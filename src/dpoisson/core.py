@@ -20,15 +20,15 @@ A (x) A (Van den Bergh, *Double Poisson algebras*, section 2):
 A double bracket is a derivation in its second slot for the outer action
 and in its first slot for the inner one; `outer` and `inner` add an action
 into an accumulating dict, as `add_into` adds raw (key, coefficient) pairs
-and `bilinear` the bilinear extension of a map defined on pairs of words.
-The hot kernels (the double-Jacobi orbit kernel and left Leibniz in
-`brackets.py`, dlr conditions (c) and (d), and the closure composites of
-`calculus.py`) move their legs inline.
+and `bilinear` c times the bilinear extension of a map defined on pairs of
+words.  The hot kernels (the double-Jacobi orbit kernel in `brackets.py`,
+dlr conditions (c) and (d), and the closure composites of `calculus.py`)
+move their legs inline.
 
-Every graded sign in the package is produced by `sign_exp`: moving material
-of total degree d1 past material of total degree d2 costs (-1)^(d1*d2).
-The suspension symbol of a shift context counts as material of degree r
-when it moves.
+Every graded sign in the package is (-1)^(d1*d2) for moving material of
+total degree d1 past material of total degree d2, computed by `sign_exp` or
+by the inline parity test of `Sparse.permute`; the suspension symbol of a
+shift context counts as material of degree r when it moves.
 """
 
 from __future__ import annotations
@@ -225,13 +225,15 @@ def add_into(out: dict, pairs: Iterable) -> dict:
     return out
 
 
-def bilinear(f, xs: Mapping, ys: Mapping) -> dict:
-    """Raw terms of the bilinear extension of f, which maps a pair of keys
-    to a term map, over the term maps xs and ys."""
-    return add_into({}, (
-        (k, cx * cy * c)
-        for x, cx in xs.items() for y, cy in ys.items() for k, c in f(x, y).items()
-    ))
+def bilinear(out: dict, f, xs: Mapping, ys: Mapping, c: Scalar = 1) -> dict:
+    """Add c times the bilinear extension of f, which maps a pair of keys
+    to a term map, over the term maps xs and ys into out and return it."""
+    for x, cx in xs.items():
+        for y, cy in ys.items():
+            cxy = c * cx * cy
+            for k, v in f(x, y).items():
+                out[k] = out.get(k, 0) + cxy * v
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -542,7 +542,7 @@ def assoc_product_check(bimodule: BimoduleSpec, f: Dict) -> CheckReport:
         table[(i, j)] = val.terms
 
     def prod(x: NCPoly, y: NCPoly) -> NCPoly:
-        return NCPoly(alg, bilinear(lambda wx, wy: table.get((wx[0], wy[0]), {}),
+        return NCPoly(alg, bilinear({}, lambda wx, wy: table.get((wx[0], wy[0]), {}),
                                     x.terms, y.terms))
 
     def failures():

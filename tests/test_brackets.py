@@ -5,6 +5,7 @@ components and only then frozen here; the suite fails if the evaluator
 drifts from them.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -138,34 +139,35 @@ def test_graded_eval_antisymmetry_sign():
     assert antisym_partner(val, 1, 1, -2) == val
 
 
-def recursion_keys(w1, w2, order, keys):
+def recursion_keys(w1, w2, keys):
     """The cache keys a recursive evaluation of {{w1, w2}} fills: the key
     itself and, unless a slot is the unit or both are letters, the two keys
-    its rule reads."""
+    its rule reads, splitting the first (left) slot when it has two or more
+    letters."""
     if (w1, w2) in keys:
         return keys
     if w1 and w2 and (len(w1) > 1 or len(w2) > 1):
-        if (len(w1) > 1 and order == "left") or len(w2) == 1:
+        if len(w1) > 1:
             reads = ((w1[1:], w2), (w1[:1], w2))
         else:
             reads = ((w1, w2[:1]), (w1, w2[1:]))
         for k in reads:
-            recursion_keys(*k, order, keys)
+            recursion_keys(*k, keys)
     keys.add((w1, w2))
     return keys
 
 
+# the ids keep the name of the expansion order, first slot first
 @pytest.mark.parametrize("file,name", [("f1.dbr", "B"), ("graded.dbr", "GB"),
                                        ("quadratic.dbr", "QB")],
-                         ids=["f1_spec", "graded_spec", "quadratic_spec"])
-@pytest.mark.parametrize("order", ["left", "right"])
-def test_eval_words_fills_the_recursion_keys(file, name, order):
+                         ids=["left-f1_spec", "left-graded_spec", "left-quadratic_spec"])
+def test_eval_words_fills_the_recursion_keys(file, name):
     spec = block(file, name)
     words = list(spec.algebra.words_up_to(3))
     for w1, w2 in itertools.product(words, words):
         fresh = BracketSpec(spec.algebra, spec.shift, spec.table)
-        fresh.eval_words(w1, w2, order)
-        assert set(fresh._cache[order]) == recursion_keys(w1, w2, order, set())
+        fresh.eval_words(w1, w2)
+        assert set(fresh._cache) == recursion_keys(w1, w2, set())
 
 
 def test_jacobiator_f2_vanishes_on_generator_triple():
@@ -567,3 +569,67 @@ def test_necklace_brackets_once_per_pair(monkeypatch):
     words = [w for w in spec.algebra.words_up_to(2) if w]
     assert len(seen) == len(set(seen)) == 36
     assert set(seen) == set(itertools.product(words, words))
+
+
+# -- extension order against the second-slot-first expansion ---------------
+
+
+def reference_extension_order(spec, max_len):
+    """The extension-order entry from a second-slot-first expansion, which
+    splits the second slot when it has two or more letters and the first
+    slot otherwise: the first pair in product order where it differs from
+    spec.eval_words, as (witness, residual), or None."""
+    A = spec.algebra
+
+    @functools.cache
+    def second_first(w1, w2):
+        if not w1 or not w2:
+            return Tensor2(A, {})
+        if len(w2) > 1:
+            return spec._right_rule(w1, w2, second_first(w1, w2[:1]),
+                                    second_first(w1, w2[1:]))
+        if len(w1) > 1:
+            return spec._left_rule(w1, w2, second_first(w1[1:], w2),
+                                   second_first(w1[:1], w2))
+        return spec.elem(w1[0], w2[0])
+
+    words = list(A.words_up_to(max_len))
+    for w1, w2 in itertools.product(words, words):
+        res = spec.eval_words(w1, w2) - second_first(w1, w2)
+        if res:
+            return A.render_words(w1, w2), res.render()
+    return None
+
+
+def drifted(spec, rule, at):
+    """spec with 1 (x) 1 added to the output of its derivation rule `rule`
+    (the method name) at the word pair `at`."""
+    plain = getattr(BracketSpec, rule)
+
+    def rule_with_drift(self, w1, w2, x, y):
+        out = plain(self, w1, w2, x, y)
+        return out + tensor2(self.algebra, ("1", "1")) if (w1, w2) == at else out
+
+    return type("Drifted", (BracketSpec,), {rule: rule_with_drift})(
+        spec.algebra, spec.shift, spec.table)
+
+
+@st.composite
+def drifted_specs(draw, max_len=3):
+    """A homogeneous spec, as drawn or with one rule drifted at a pair
+    whose split slot has two or more letters."""
+    spec = draw(homogeneous_specs())
+    rule = draw(st.sampled_from([None, "_left_rule", "_right_rule"]))
+    if rule is None:
+        return spec
+    words = [w for w in spec.algebra.words_up_to(max_len) if w]
+    split = draw(st.sampled_from([w for w in words if len(w) > 1]))
+    other = draw(st.sampled_from(words))
+    return drifted(spec, rule, (split, other) if rule == "_left_rule" else (other, split))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drifted_specs())
+def test_extension_order_matches_the_second_slot_first_expansion(spec):
+    e = check_extension_order(spec, max_len=3).entry("extension-order")
+    assert (None if e.passed else (e.witness, e.residual)) == reference_extension_order(spec, 3)

@@ -47,11 +47,12 @@ def test_first_failure_stops_at_the_first_failure():
 
 
 class RightOrderDrift(BracketSpec):
-    """f1 whose second-slot-first expansion gains 1 (x) 1 on (x.y, x.y)."""
+    """f1 whose right rule gains 1 (x) 1 on (x.y, x.y), a pair the
+    evaluator expands by the left rule."""
 
-    def eval_words(self, w1, w2, order="left"):
-        out = super().eval_words(w1, w2, order)
-        if order == "right" and (w1, w2) == ((0, 1), (0, 1)):
+    def _right_rule(self, w1, w2, head, tail):
+        out = super()._right_rule(w1, w2, head, tail)
+        if (w1, w2) == ((0, 1), (0, 1)):
             out = out + tensor2(self.algebra, ("1", "1"))
         return out
 
@@ -65,15 +66,16 @@ def test_extension_order_fail_line():
 
 
 class RightRuleScaled(BracketSpec):
-    """f1 whose right rule is doubled, in both expansion orders."""
+    """f1 whose right rule is doubled, in the evaluator and in the check."""
 
     def _right_rule(self, w1, w2, head, tail):
         return super()._right_rule(w1, w2, head, tail).scale(2)
 
 
 def test_extension_order_misses_a_scaled_right_rule():
-    # both orders send a single-letter first slot through the right rule, so
-    # the factor cancels in extension-order; antisymmetry catches it
+    # the evaluator sends a single-letter first slot through the doubled
+    # right rule, and extension-order tests it against the same doubled
+    # rule, so the factor cancels there; antisymmetry catches it
     f1 = block("f1.dbr", "B")
     rep = run_bracket_checks(RightRuleScaled(f1.algebra, f1.shift, f1.table),
                              max_len=2, necklace=False)

@@ -4,7 +4,8 @@ shifted and unshifted axiom verdicts."""
 import pytest
 
 from dpoisson.calculus import koszul_bracket
-from dpoisson.dlr import dlr_check
+from dpoisson.core import FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
+from dpoisson.dlr import BimoduleSpec, DLRData, dlr_check
 from dpoisson.shifting import shift_dlr, verify_shift_equivalence
 
 from conftest import block, broken_dlr_fixtures, dlr_fixtures
@@ -105,3 +106,19 @@ def test_shift_preserves_homogeneity_invariant():
                 want = amb.gens[i].degree + amb.gens[j].degree + r
                 for (w1, w2) in t.terms:
                     assert amb.degree(w1) + amb.degree(w2) == want
+
+
+def test_shift_signs_the_a_m_component_by_delta_times_first_leg_degree():
+    # {{m, m}} = a (x) m in A (x) M with |a| = 1: (-1)^(delta |a|) = -1 for
+    # delta = 1; the M (x) A component stays 0
+    bm = BimoduleSpec(FreeAlgebra((Generator("a", 1),)), [Generator("m", 0)])
+    amb = bm.ambient
+    d = DLRData(bm, ShiftContext(1), {},
+                {("m", "m"): (Tensor2(amb, {}), tensor2(amb, ("a", "m")))})
+    s = shift_dlr(d, 1)
+    left, right = s.mbracket[(amb.index("m"), amb.index("m"))]
+    assert right.render() == "- a (*) m"
+    assert not left
+    assert s.shift.r == 0
+    assert [g.degree for g in s.bimodule.mgens] == [1]
+    assert shift_dlr(s, -1) == d

@@ -9,6 +9,7 @@ resolve every name it lists.
 import functools
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -33,3 +34,15 @@ def test_every_traced_name_resolves():
 def test_every_package_module_imports():
     for module in tracing.PACKAGE_MODULES:
         importlib.import_module(module)
+
+
+def test_traced_checks_take_max_len_second():
+    # the tracer reads max_len from the second positional argument of these
+    # calls (tracing._max_len(args, kwargs, 1)) for their .inputs counters
+    checks = [(m, p) for m, p in tracing.TRACED if p.startswith("check_") or p == "dlr_check"]
+    assert checks
+    for module, path in checks:
+        fn = getattr(importlib.import_module(f"dpoisson.{module}"), path)
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[1].name == "max_len", f"{module}.{path}"
+        assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, f"{module}.{path}"
