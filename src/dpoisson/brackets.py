@@ -182,27 +182,38 @@ def _orbit_jacobiators(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> tuple
     """Raw jacobiators of the rotations (wa, wb, wc), (wc, wa, wb), (wb, wc, wa).
 
     Rotation m adds to its first term F_m the terms F_m+1 and F_m+2 with
-    output legs rotated once and twice, p1 (x) p2 (x) p3 -> p2 (x) p3 (x) p1,
-    so each first term is walked once and added into all three."""
+    output legs rotated once and twice, p1 (x) p2 (x) p3 -> p2 (x) p3 (x) p1.
+    The first term of (x, y, z) is walked once, straight from the evaluator:
+    each term y1 (x) y2 of {{y, z}} and p1 (x) p2 of {{x, y1}} add their
+    product at p1 (x) p2 (x) y2 into their own jacobiator and, rotated, into
+    the other two.  The leg signs of the rotations are computed only on an
+    algebra with an odd generator; on any other they are +1."""
     alg, r = spec.algebra, spec.shift.r
-    deg = alg.degree
+    deg, odd, ev = alg.degree, alg.has_odd, spec.eval_words
     a, b, c = deg(wa) + r, deg(wb) + r, deg(wc) + r  # shifted slot degrees
     # rotation n, of shifted degrees (A, B, C), takes F_n+1 with the sign
     # s[n] = (-1)^((A+B)C) and F_n+2 with (-1)^(A(B+C)) = s[n - 1]
     s = (sign_exp(a + b, c), sign_exp(c + a, b), sign_exp(b + c, a))
     jacs = ({}, {}, {})
-    for m, t in enumerate(((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
+    for m, (x, y, z) in enumerate(((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
         # F_m is the F_n+1 of rotation n = m - 1 and the F_n+2 of n = m - 2
         own, once, twice = jacs[m], jacs[m - 1], jacs[m - 2]
         s_once, s_twice = s[m - 1], s[m]
-        for key, cf in _first_term_words(spec, *t).items():
-            own[key] = own.get(key, 0) + cf
-            p1, p2, p3 = key
-            d1, d2, d3 = deg(p1), deg(p2), deg(p3)
-            key = (p2, p3, p1)
-            once[key] = once.get(key, 0) + s_once * sign_exp(d1, d2 + d3) * cf
-            key = (p3, p1, p2)
-            twice[key] = twice.get(key, 0) + s_twice * sign_exp(d1 + d2, d3) * cf
+        for (y1, y2), cy in ev(y, z).terms.items():
+            d3 = deg(y2) if odd else 0
+            for (p1, p2), cp in ev(x, y1).terms.items():
+                cf = cy * cp
+                key = (p1, p2, y2)
+                own[key] = own.get(key, 0) + cf
+                c_once, c_twice = s_once * cf, s_twice * cf
+                if odd:
+                    d1, d2 = deg(p1), deg(p2)
+                    c_once *= sign_exp(d1, d2 + d3)
+                    c_twice *= sign_exp(d1 + d2, d3)
+                key = (p2, y2, p1)
+                once[key] = once.get(key, 0) + c_once
+                key = (y2, p1, p2)
+                twice[key] = twice.get(key, 0) + c_twice
     return jacs
 
 

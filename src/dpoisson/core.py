@@ -28,7 +28,11 @@ move their legs inline.
 Every graded sign in the package is (-1)^(d1*d2) for moving material of
 total degree d1 past material of total degree d2, computed by `sign_exp` or
 by the inline parity test of `Sparse.permute`; the suspension symbol of a
-shift context counts as material of degree r when it moves.
+shift context counts as material of degree r when it moves.  On an algebra
+whose generators all have even degree every word is even, so every sign
+between plain algebra words is +1 and only shifts of odd r pay;
+`FreeAlgebra.has_odd` is the one place this is decided, and the hot kernels
+read it once and skip their per-term leg signs when it is False.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ class FreeAlgebra:
     presents the tensor algebra of a free bimodule over the BASE part.
     """
 
-    __slots__ = ("gens", "_index", "_degrees", "_module_mask", "_word_degrees")
+    __slots__ = ("gens", "_index", "_degrees", "_module_mask", "_word_degrees", "has_odd")
 
     def __init__(self, gens: Sequence[Generator]):
         gens = tuple(gens)
@@ -95,6 +99,7 @@ class FreeAlgebra:
         self.gens = gens
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
+        self.has_odd = any(d & 1 for d in self._degrees)  # False: every leg sign is +1
         self._module_mask = tuple(g.colour is Colour.MODULE for g in gens)
         self._word_degrees: dict = {}
 
@@ -311,6 +316,8 @@ class Sparse:
         i is input leg order[i], and each pair of legs that changes order
         pays (-1)^(|leg||leg'|)."""
         pick, crossed = _permutation_plan(tuple(order))
+        if not self.algebra.has_odd:
+            crossed = ()
         deg = self.algebra.degree
         c = exact_scalar(c)
         out = {}
@@ -367,12 +374,14 @@ def inner(out: dict, t: Tensor2, p: Word = (), q: Word = (), c: Scalar = 1) -> d
     """Add c times the inner bimodule action
     p * (u (x) v) * q = (-1)^(|p||u| + |p||q| + |q||v|) uq (x) pv
     on t into out and return it: p moves past u and q, q past v."""
-    deg = t.algebra.degree
+    deg, odd = t.algebra.degree, t.algebra.has_odd
     dp, dq = deg(p), deg(q)
     c = sign_exp(dp, dq) * c
     for (u, v), a in t.terms.items():
         k = (u + q, p + v)
-        out[k] = out.get(k, 0) + sign_exp(dp, deg(u)) * sign_exp(dq, deg(v)) * c * a
+        if odd:
+            a = sign_exp(dp, deg(u)) * sign_exp(dq, deg(v)) * a
+        out[k] = out.get(k, 0) + c * a
     return out
 
 

@@ -355,7 +355,7 @@ def _c_anchor_jacobi(d: DLRData, mwords: list, bwords: list):
     """Failures of (c), the second anchor compatibility, on (base, module,
     module) triples."""
     alg, r = d.bimodule.ambient, d.shift.r
-    deg = alg.degree
+    deg, odd = alg.degree, alg.has_odd
     for wa, wm, wn in itertools.product(bwords, mwords, mwords):
         da, dm, dn = deg(wa), deg(wm), deg(wn)
         terms: dict = {}
@@ -367,24 +367,23 @@ def _c_anchor_jacobi(d: DLRData, mwords: list, bwords: list):
         s2 = sign_exp(da + r, (dm + r) + (dn + r))
         for (p, q), c in d.anchor_eval(wn, wa).terms.items():
             for (t1, t2), c2 in d.anchor_eval(wm, p).terms.items():
-                s = s2 * sign_exp(deg(t1) + deg(t2), deg(q))
+                s = s2 * sign_exp(deg(t1) + deg(t2), deg(q)) if odd else s2
                 k3 = (q, t1, t2)
                 terms[k3] = terms.get(k3, 0) + s * c * c2
         s3 = sign_exp((da + r) + (dm + r), dn + r)
         for (p, q), c in d.rho_tau(wa, wm).terms.items():
             for (t1, t2), c2 in d.anchor_eval(wn, p).terms.items():
-                s = s3 * sign_exp(deg(t1), deg(t2) + deg(q))
+                s = s3 * sign_exp(deg(t1), deg(t2) + deg(q)) if odd else s3
                 k3 = (t2, q, t1)
                 terms[k3] = terms.get(k3, 0) + s * c * c2
-        res = Tensor3(alg, terms)
-        if res:
-            yield alg.render_words(wa, wm, wn), res.render()
+        if any(terms.values()):
+            yield alg.render_words(wa, wm, wn), Tensor3(alg, terms).render()
 
 
 def _d_double_jacobi(d: DLRData, mwords: list):
     """Failures of (d), double Jacobi on module-word triples."""
     alg, r = d.bimodule.ambient, d.shift.r
-    deg = alg.degree
+    deg, odd = alg.degree, alg.has_odd
     for w1, w2, w3 in itertools.product(mwords, mwords, mwords):
         d1, d2, d3 = deg(w1), deg(w2), deg(w3)
         terms = {}
@@ -399,19 +398,18 @@ def _d_double_jacobi(d: DLRData, mwords: list):
         for (u, v), c in L12.terms.items():
             _, Ru = d.mb_eval(w3, u)
             for (p, q), c2 in Ru.terms.items():
-                s = s2 * sign_exp(deg(p), deg(q) + deg(v))
+                s = s2 * sign_exp(deg(p), deg(q) + deg(v)) if odd else s2
                 k3 = (q, v, p)
                 terms[k3] = terms.get(k3, 0) + s * c * c2
         s3 = sign_exp(d1 + r, (d2 + r) + (d3 + r))
         _, R31 = d.mb_eval(w3, w1)
         for (p, q), c in R31.terms.items():
             for (t1, t2), c2 in d.anchor_eval(w2, p).terms.items():
-                s = s3 * sign_exp(deg(t1) + deg(t2), deg(q))
+                s = s3 * sign_exp(deg(t1) + deg(t2), deg(q)) if odd else s3
                 k3 = (q, t1, t2)
                 terms[k3] = terms.get(k3, 0) + s * c * c2
-        res = Tensor3(alg, terms)
-        if res:
-            yield alg.render_words(w1, w2, w3), res.render()
+        if any(terms.values()):
+            yield alg.render_words(w1, w2, w3), Tensor3(alg, terms).render()
 
 
 def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:

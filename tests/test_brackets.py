@@ -428,10 +428,12 @@ def test_rational_scaling_of_jacobi_residual(c):
 
 @st.composite
 def homogeneous_specs(draw):
-    """Tables on one or two generators of degree 0 or 1, shift -2..1, with
+    """Tables on one or two generators of degree -1..2, shift -2..1, with
     small integer coefficients on leg words of length <= 2; {{x_i, x_j}} is
-    drawn for i <= j and the transposes are synthesized by antisymmetry."""
-    degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    drawn for i <= j and the transposes are synthesized by antisymmetry.
+    The degrees give all-even algebras of nonzero degree, on which the
+    kernels skip their leg signs, and odd generators of negative degree."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=2))
     A = FreeAlgebra(tuple(Generator(n, d) for n, d in zip("xy", degrees)))
     r = draw(st.integers(-2, 1))
     legs = list(A.words_up_to(2))
@@ -500,22 +502,22 @@ def test_cyclic_stability_witness_is_first_in_enumeration_order(monkeypatch, tri
 
 
 def test_double_jacobi_first_terms_once_per_orbit(monkeypatch):
-    # an orbit asks for the first terms of its three rotations: n^3 - n
-    # triples lie in orbits of three and n in orbits of one, so n words
-    # take n^3 + 2n calls (three per triple before)
+    # one orbit-kernel call walks the first terms of its three rotations:
+    # n^3 - n triples lie in orbits of three and n in orbits of one, so n
+    # words take (n^3 + 2n) / 3 calls, whose rotations cover every triple
     seen = []
-    first_terms = brackets._first_term_words
+    orbit = brackets._orbit_jacobiators
 
     def counted(spec, *triple):
         seen.append(triple)
-        return first_terms(spec, *triple)
+        return orbit(spec, *triple)
 
-    monkeypatch.setattr(brackets, "_first_term_words", counted)
+    monkeypatch.setattr(brackets, "_orbit_jacobiators", counted)
     spec = block("f1.dbr", "B")
     check_double_jacobi(spec, max_len=2)
     n = len(list(spec.algebra.words_up_to(2)))
-    assert n == 7 and len(seen) == n ** 3 + 2 * n == 357
-    assert len(set(seen)) == n ** 3
+    assert n == 7 and len(seen) == (n ** 3 + 2 * n) // 3 == 119
+    assert len({r for a, b, c in seen for r in ((a, b, c), (c, a, b), (b, c, a))}) == n ** 3
 
 
 # -- left Leibniz per swap orbit, necklace brackets once per pair -----------

@@ -4,7 +4,12 @@ Schouten-Nijenhuis bracket on derivations."""
 import pytest
 
 from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
-from dpoisson.brackets import necklace_bracket, render_cyclic, run_bracket_checks
+from dpoisson.brackets import (
+    check_necklace_jacobi,
+    necklace_bracket,
+    render_cyclic,
+    run_bracket_checks,
+)
 from dpoisson.dlr import BracketClass, classify_bracket, dlr_check
 from dpoisson.calculus import (
     DerPresentation,
@@ -236,3 +241,14 @@ def test_sn_necklace_oracles():
     assert render_cyclic(amb, got) == "- [1]"
     got = necklace_bracket(spec, amb.word("x.Dx"), amb.word("x"))
     assert render_cyclic(amb, got) == "[x]"
+
+
+@pytest.mark.parametrize("r", [0, -2])
+def test_sn_necklace_jacobi_on_an_odd_generator(r):
+    # the sign (-1)^((r+|a|)(r+|b|)) of necklace Jacobi is -1 on [x], [Dx]
+    # here; replaced by 1 it leaves 2 * [1] at ([x], [Dx], [x.Dx])
+    spec = sn_bracket(FreeAlgebra((Generator("x", 1),)), ShiftContext(r))
+    assert [e.line() for e in check_necklace_jacobi(spec, 3).entries] == [
+        "necklace-representativity: PASS",
+        "necklace-jacobi: PASS",
+    ]

@@ -41,6 +41,12 @@ def test_sign_exp_parity():
     assert sign_exp(-1, 1) == -1
 
 
+@pytest.mark.parametrize("degrees, odd", [((0, 2), False), ((-1,), True), ((2, 1), True)])
+def test_has_odd_is_true_exactly_when_a_generator_is_odd(degrees, odd):
+    A = FreeAlgebra(tuple(Generator(f"g{i}", d) for i, d in enumerate(degrees)))
+    assert A.has_odd is odd
+
+
 # -- words ----------------------------------------------------------------
 
 
@@ -221,8 +227,10 @@ def test_render_terms_past_the_digit_limit():
 
 @st.composite
 def graded_tensors(draw, legs):
-    """A random 2- or 3-leg tensor over generators of degree 0 or 1."""
-    degs = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    """A random 2- or 3-leg tensor over generators of degree -1..2: all-even
+    algebras of nonzero degree take the unsigned path, odd negative degrees
+    the signed one."""
+    degs = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
     A = FreeAlgebra(tuple(Generator(f"g{i}", d) for i, d in enumerate(degs)))
     word = st.lists(st.integers(0, len(degs) - 1), max_size=3).map(tuple)
     terms = draw(st.dictionaries(st.tuples(*[word] * legs),
@@ -264,8 +272,8 @@ def test_permute_swap_matches_explicit_formula(t):
 
 @st.composite
 def tensors_with_actors(draw):
-    """A nonzero 2-leg tensor over an algebra with an odd generator, and two
-    words p, q over that algebra."""
+    """A nonzero 2-leg tensor over an algebra with a generator of nonzero
+    degree, odd or even, and two words p, q over that algebra."""
     t = draw(graded_tensors(2).filter(lambda t: t and any(g.degree for g in t.algebra.gens)))
     word = st.lists(st.integers(0, len(t.algebra.gens) - 1), max_size=3).map(tuple)
     return t, draw(word), draw(word)
