@@ -8,7 +8,7 @@ Each mutant changes one sign site of src/dpoisson and nothing else:
   has_odd    a read of FreeAlgebra.has_odd replaced by False.
 
 Every mutant runs the given test selection with -x in its own copy of the
-checkout, two at a time by default, and the survey prints one line per site:
+checkout, two at a time, and the survey prints one line per site:
 file, line, caught or survived, and the first failing test.  A site that
 survives is a sign no test in the selection depends on.
 
@@ -35,6 +35,8 @@ from typing import Optional
 
 HERE = pathlib.Path(__file__).resolve().parent
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+JOBS = 2         # mutants run at a time
+TIMEOUT = 900.0  # seconds per run of the selection; a hung mutant reads "(timeout)"
 
 
 def sites(path: pathlib.Path) -> list:
@@ -64,14 +66,14 @@ def mutate(text: str, site: tuple) -> str:
     return text[:start] + rep + text[end:]
 
 
-def run_tests(root: pathlib.Path, selection: list, timeout: float) -> Optional[str]:
+def run_tests(root: pathlib.Path, selection: list) -> Optional[str]:
     """None when the selection passes, else the first failing test."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", *selection]
     try:
         done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "(timeout)"
     if done.returncode == 0:
@@ -84,20 +86,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=pathlib.Path, default=HERE.parent,
                     help="checkout to survey (default: this one)")
-    ap.add_argument("--jobs", type=int, default=2, help="mutants run at a time")
-    ap.add_argument("--timeout", type=float, default=900, help="seconds per mutant run")
     ap.add_argument("selection", nargs="*", default=["tests"], help="pytest selection")
     args = ap.parse_args()
     root = args.root.resolve()
-    if args.jobs < 1:
-        ap.error("--jobs must be at least 1")
 
     src = root / "src" / "dpoisson"
     todo = [(f, s) for f in sorted(src.glob("*.py")) for s in sites(f)]
     with tempfile.TemporaryDirectory(prefix="sign-mutants-") as tmp:
         base = pathlib.Path(tmp) / "base"
         shutil.copytree(root, base, ignore=IGNORE)
-        first = run_tests(base, args.selection, args.timeout)
+        first = run_tests(base, args.selection)
         if first is not None:
             print(f"unmutated selection fails at {first}; nothing to survey", file=sys.stderr)
             return 2
@@ -109,12 +107,12 @@ def main() -> int:
             target = copy / f.relative_to(root)
             target.write_text(mutate(f.read_text(), site))
             try:
-                return run_tests(copy, args.selection, args.timeout)
+                return run_tests(copy, args.selection)
             finally:
                 shutil.rmtree(copy, ignore_errors=True)
 
         survived = 0
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             for (f, site), first in zip(todo, pool.map(one, range(len(todo)))):
                 line, col, *_, kind = site
                 verdict = "survived" if first is None else "caught"
