@@ -4,20 +4,18 @@ Omega carries one form generator per algebra generator, same degree, so the
 universal derivation d has degree 0 and needs no signs.  Der carries one
 double derivation generator per algebra generator with degree -|x_i| - r;
 its pairing against algebra words is the two-sided partial derivative.
-d and the pairing take single words; lift_derivation contracts forms
-against a table of double derivations.
+d and the pairing take single words.
 
 koszul_bracket turns a double Poisson bracket on A into double
 Lie-Rinehart data on Omega by differentiating the table legwise.
-sn_bracket equips A + Der with its Schouten-Nijenhuis-type bracket; the
-vanishing of the bracket of two generating derivations is evaluated from
-the defining composites, not assumed.
+sn_bracket equips A + Der with its Schouten-Nijenhuis-type bracket, read
+off the pairing of each generating derivation with each generator.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from .core import (
     Colour,
@@ -26,11 +24,9 @@ from .core import (
     NCPoly,
     ShiftContext,
     Tensor2,
-    Tensor3,
     Word,
     add_into,
     bilinear,
-    outer,
     sign_exp,
 )
 from .brackets import (
@@ -38,7 +34,7 @@ from .brackets import (
     check_antisymmetry,
     check_double_jacobi,
 )
-from .dlr import BimoduleSpec, DLRData, _split_module_word
+from .dlr import BimoduleSpec, DLRData
 from .reports import CheckReport
 
 
@@ -80,37 +76,6 @@ def universal_derivation(omega: OmegaPresentation, w: Word) -> NCPoly:
     in turn."""
     # the words differ in the position of their one form letter
     return NCPoly(omega.bimodule.ambient, dict.fromkeys(_d_words(omega, w), 1))
-
-
-def lift_derivation(omega: OmegaPresentation, h: Dict,
-                    source_degree: int = 0) -> Callable:
-    """Contraction of forms against a double derivation h, given as a
-    table from base generators to Tensor2 values.
-
-    The contraction of p dx q picks up (-1)^(source_degree * |p|) when
-    sliding past the letters before the form; source_degree r + |a| makes
-    the contraction of d against {{a, -}} reproduce the bracket exactly.
-    Base words contract to zero.
-    """
-    alg = omega.bimodule.ambient
-    table: dict = {}
-    for key, val in h.items():
-        table[omega.form_of[alg.index(key)]] = val
-
-    def contract(p: NCPoly) -> Tensor2:
-        if p.algebra != alg:
-            raise ValueError("incompatible algebras")
-        out: dict = {}
-        for w, c in p.terms.items():
-            if not alg.weight(w):
-                continue
-            pre, form, post = _split_module_word(alg, w)
-            val = table.get(form)
-            if val is not None:
-                outer(out, val, pre, post, sign_exp(source_degree, alg.degree(pre)) * c)
-        return Tensor2(alg, out)
-
-    return contract
 
 
 def _legwise_d(omega: OmegaPresentation, t: Tensor2, leg: int) -> Tensor2:
@@ -188,7 +153,6 @@ class DerPresentation:
         )
         n = len(base.gens)
         self.der_of = {i: n + i for i in range(n)}
-        self.base_of = {n + i: i for i in range(n)}
 
 
 def double_partial(der: DerPresentation, i: int, w: Word) -> Tensor2:
@@ -201,80 +165,14 @@ def double_partial(der: DerPresentation, i: int, w: Word) -> Tensor2:
     )))
 
 
-def ev_pairing(der: DerPresentation, xi: Word, w: Word) -> Tensor2:
-    """Evaluate a weight-one derivation word xi = p D_i q on an algebra
-    word w: the partial acts inside, p and q close around it, and q pays
-    the sign for sliding past the argument."""
-    alg = der.bimodule.ambient
-    p, D, q = _split_module_word(alg, xi)
-    return Tensor2(alg, outer({}, double_partial(der, der.base_of[D], w), p, q,
-                              sign_exp(alg.degree(q), alg.degree(w))))
-
-
-def phi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Tensor3:
-    """First closure composite: both orders of contracting theta and eta
-    into a word, compared after swapping the last two output legs."""
-    alg = der.bimodule.ambient
-    deg = alg.degree
-    dth, det = deg(theta), deg(eta)
-    raw: dict = {}
-    for (u, v), c in ev_pairing(der, eta, wa).terms.items():
-        add_into(raw, (((s1, t1, v), c * c2)
-                       for (s1, t1), c2 in ev_pairing(der, theta, u).terms.items()))
-    s0 = -sign_exp(dth, det)
-    for (u, v), c in ev_pairing(der, theta, wa).terms.items():
-        se = s0 * sign_exp(det, deg(u)) * c
-        add_into(raw, (((u, s1, t1), se * c2)
-                       for (s1, t1), c2 in ev_pairing(der, eta, v).terms.items()))
-    return Tensor3(alg, raw).permute((0, 2, 1))
-
-
-def psi_composite(der: DerPresentation, theta: Word, eta: Word, wa: Word) -> Tensor3:
-    """Second closure composite, with the swap on the first two legs."""
-    alg = der.bimodule.ambient
-    deg = alg.degree
-    dth, det = deg(theta), deg(eta)
-    raw: dict = {}
-    for (w1, w2), c in ev_pairing(der, eta, wa).terms.items():
-        s = sign_exp(dth, deg(w1)) * c
-        add_into(raw, (((w1, s1, t1), s * c2)
-                       for (s1, t1), c2 in ev_pairing(der, theta, w2).terms.items()))
-    s0 = -sign_exp(dth, det)
-    for (u, v), c in ev_pairing(der, theta, wa).terms.items():
-        add_into(raw, (((s1, t1, v), s0 * c * c2)
-                       for (s1, t1), c2 in ev_pairing(der, eta, u).terms.items()))
-    return Tensor3(alg, raw).permute((1, 0, 2))
-
-
 def sn_bracket(base: FreeAlgebra, shift: ShiftContext = ShiftContext(0)) -> BracketSpec:
     """Schouten-Nijenhuis-type bracket on the algebra of base generators
     and generating double derivations.
 
-    The pairing table {{D_i, x_j}} is computed from the derivation
-    evaluation; the vanishing of {{D_i, D_j}} is certified by evaluating
-    the closure composites on every generator and refusing to proceed if
-    any survives.
+    The table holds {{D_i, x_i}}, the double partial of x_i with respect
+    to itself, which is 1 (x) 1; every other pair of generators brackets to
+    zero.
     """
     der = DerPresentation(base, shift)
-    alg = der.bimodule.ambient
-    n = len(base.gens)
-    for i, j in itertools.product(range(n), range(n)):
-        th = (der.der_of[i],)
-        et = (der.der_of[j],)
-        for k in range(n):
-            wa = (k,)
-            for name, t in (("phi", phi_composite(der, th, et, wa)),
-                            ("psi", psi_composite(der, th, et, wa))):
-                if t:
-                    raise RuntimeError(
-                        f"closure composite {name}({alg.gens[th[0]].name}, "
-                        f"{alg.gens[et[0]].name}, {base.gens[k].name}) "
-                        f"does not vanish: {t.render()}"
-                    )
-    table: dict = {}
-    for i in range(n):
-        for j in range(n):
-            val = ev_pairing(der, (der.der_of[i],), (j,))
-            if val:
-                table[(der.der_of[i], j)] = val
-    return BracketSpec(alg, shift, table)
+    table = {(der.der_of[i], i): double_partial(der, i, (i,)) for i in range(len(base.gens))}
+    return BracketSpec(der.bimodule.ambient, shift, table)

@@ -151,7 +151,7 @@ def _cmd_sn(args) -> int:
     alg, shift = _named(_load(args.file).algebras, "algebra", args.algebra)
     try:
         spec = sn_bracket(alg, shift)
-    except (RuntimeError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _write(args.output, args.algebra, shift, f"der_{args.algebra}",

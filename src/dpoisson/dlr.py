@@ -34,7 +34,6 @@ Koszul sign; the signs written here are those of the rules):
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Dict, Tuple
 
@@ -456,18 +455,23 @@ def dlr_to_linear(d: DLRData) -> BracketSpec:
     return BracketSpec(alg, d.shift, table)
 
 
+# leg weights a linear bracket allows, by the number of module generators
+# in the pair: none on base pairs, base legs on anchor values, one module
+# letter on module pairs
+_LINEAR_LEG_WEIGHTS = (set(), {(0, 0)}, {(1, 0), (0, 1)})
+
+
 def linear_to_dlr(spec: BracketSpec, bimodule: BimoduleSpec) -> DLRData:
     """Split a linear bracket table back into anchor and module components."""
     alg = bimodule.ambient
     if spec.algebra != alg:
         raise ValueError("incompatible algebras")
-    cls = classify_bracket(spec)
-    if cls is not BracketClass.LINEAR and not bracket_is_zero(spec):
-        raise ValueError("not a linear bracket")
     anchor: dict = {}
     mbracket: dict = {}
     for (i, j), val in spec.table.items():
         mi, mj = alg.is_module(i), alg.is_module(j)
+        if not val.leg_weights() <= _LINEAR_LEG_WEIGHTS[mi + mj]:
+            raise ValueError("not a linear bracket")
         if mi and mj:
             mbracket[(i, j)] = split_components(alg, val)
         elif mi:
@@ -478,49 +482,7 @@ def linear_to_dlr(spec: BracketSpec, bimodule: BimoduleSpec) -> DLRData:
                 anchor[(j, i)] = antisym_partner(
                     val, alg.gens[j].degree, alg.gens[i].degree, spec.shift.r
                 )
-        # base pairs are zero for a linear bracket
     return DLRData(bimodule, spec.shift, anchor, mbracket)
-
-
-class BracketClass(enum.Enum):
-    CONSTANT = "constant"
-    LINEAR = "linear"
-    QUADRATIC = "quadratic"
-    GENERAL = "general"
-
-
-def bracket_is_zero(spec: BracketSpec) -> bool:
-    return not any(spec.table.values())
-
-
-def classify_bracket(spec: BracketSpec) -> BracketClass:
-    """Colour-profile classification of a bracket on T_A(M).
-
-    The base-pair restriction must vanish for all three named classes; the
-    zero bracket sits in every class and reports as CONSTANT (see
-    bracket_is_zero).
-    """
-    alg = spec.algebra
-    if not alg.module_indices:
-        raise ValueError("algebra has no module generators")
-    mm_profiles = set()
-    ma_profiles = set()
-    for (i, j), val in spec.table.items():
-        mi, mj = alg.is_module(i), alg.is_module(j)
-        if not mi and not mj:
-            if val:
-                return BracketClass.GENERAL
-        elif mi and mj:
-            mm_profiles |= val.leg_weights()
-        else:
-            ma_profiles |= val.leg_weights()
-    if mm_profiles <= {(0, 0)} and not ma_profiles:
-        return BracketClass.CONSTANT
-    if mm_profiles <= {(1, 0), (0, 1)} and ma_profiles <= {(0, 0)}:
-        return BracketClass.LINEAR
-    if mm_profiles <= {(1, 1)} and not ma_profiles:
-        return BracketClass.QUADRATIC
-    return BracketClass.GENERAL
 
 
 def assoc_product_check(bimodule: BimoduleSpec, f: Dict) -> CheckReport:

@@ -3,24 +3,20 @@ Schouten-Nijenhuis bracket on derivations."""
 
 import pytest
 
-from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
+from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext
 from dpoisson.brackets import (
     check_necklace_jacobi,
     necklace_bracket,
     render_cyclic,
     run_bracket_checks,
 )
-from dpoisson.dlr import BracketClass, classify_bracket, dlr_check
+from dpoisson.dlr import dlr_check, linear_to_dlr
 from dpoisson.calculus import (
     DerPresentation,
     OmegaPresentation,
     double_partial,
-    ev_pairing,
     koszul_bracket,
     koszul_square_check,
-    lift_derivation,
-    phi_composite,
-    psi_composite,
     sn_bracket,
     universal_derivation,
 )
@@ -75,29 +71,6 @@ def test_universal_derivation_rejects_module_words():
     amb = om.bimodule.ambient
     with pytest.raises(ValueError, match="not a base word"):
         universal_derivation(om, amb.word("dx"))
-
-
-def test_lift_derivation_contraction():
-    # i_h d on x.x reproduces {{x, x.x}} when h = {{x, -}}
-    f2 = block("f2.dbr", "F2")
-    A = f2.algebra
-    om = OmegaPresentation(A)
-    amb = om.bimodule.ambient
-    h = {"x": Tensor2(amb, dict(f2.eval_words(A.word("x"), A.word("x")).terms))}
-    contract = lift_derivation(om, h)
-    got = contract(universal_derivation(om, A.word("x.x")))
-    assert got.render() == "- 1 (*) x.x + x.x (*) 1"
-    want = f2.eval_words(A.word("x"), A.word("x.x"))
-    assert got.terms == want.terms
-
-
-def test_lift_derivation_rejects_weight_two_forms():
-    om = OmegaPresentation(FreeAlgebra((Generator("x"),)))
-    amb = om.bimodule.ambient
-    contract = lift_derivation(om, {"x": tensor2(amb, ("1", "1"))})
-    assert not contract(amb.monomial("x.x"))
-    with pytest.raises(ValueError, match="not a weight-one word: dx.dx"):
-        contract(amb.monomial("dx.dx"))
 
 
 # -- koszul construction --------------------------------------------------
@@ -189,34 +162,6 @@ def test_double_partial_degree_zero():
     assert got.render() == "1 (*) x + x (*) 1"
 
 
-def test_ev_pairing_generator():
-    A = FreeAlgebra((Generator("x"), Generator("y")))
-    der = DerPresentation(A)
-    amb = der.bimodule.ambient
-    assert ev_pairing(der, amb.word("Dx"), A.word("x")).render() == "1 (*) 1"
-    assert not ev_pairing(der, amb.word("Dx"), A.word("y"))
-
-
-def test_ev_pairing_sandwiched():
-    A = FreeAlgebra((Generator("x"),))
-    der = DerPresentation(A)
-    amb = der.bimodule.ambient
-    # (x Dx)(x) = x (x) 1 under p t' (x) t'' q
-    got = ev_pairing(der, amb.word("x.Dx"), A.word("x"))
-    assert got.render() == "x (*) 1"
-
-
-def test_closure_composites_vanish():
-    A = FreeAlgebra((Generator("x"), Generator("y")))
-    der = DerPresentation(A)
-    amb = der.bimodule.ambient
-    for t1 in ["Dx", "Dy"]:
-        for t2 in ["Dx", "Dy"]:
-            for a in ["x", "y"]:
-                assert not phi_composite(der, amb.word(t1), amb.word(t2), A.word(a))
-                assert not psi_composite(der, amb.word(t1), amb.word(t2), A.word(a))
-
-
 def test_sn_bracket_oracle():
     spec = sn_bracket(FreeAlgebra((Generator("x"), Generator("y"))))
     amb = spec.algebra
@@ -225,11 +170,25 @@ def test_sn_bracket_oracle():
     assert not spec.eval_words(amb.word("Dx"), amb.word("Dy"))
 
 
+SN_CASES = [  # (|x|, |y|, r); the odd shifts exercise the signs of the suite
+    (0, 0, 0),
+    (1, 0, -1),
+    (1, 0, 0),
+    (0, 1, 1),
+    (1, 1, -2),
+]
+SUITE = ["antisymmetry", "extension-order", "double-jacobi", "jacobi-cyclic-stability",
+         "left-leibniz", "necklace-representativity", "necklace-jacobi"]
+
+
 def test_sn_bracket_is_linear_and_antisymmetric():
-    spec = sn_bracket(FreeAlgebra((Generator("x"), Generator("y"))))
-    assert classify_bracket(spec) is BracketClass.LINEAR
-    rep = run_bracket_checks(spec, max_len=2, necklace=False)
-    assert rep.entry("antisymmetry").passed
+    for dx, dy, r in SN_CASES:
+        base = FreeAlgebra((Generator("x", dx), Generator("y", dy)))
+        spec = sn_bracket(base, ShiftContext(r))
+        # linear: linear_to_dlr rejects any other table
+        linear_to_dlr(spec, DerPresentation(base, ShiftContext(r)).bimodule)
+        rep = run_bracket_checks(spec, max_len=2)
+        assert [e.line() for e in rep.entries] == [f"{a}: PASS" for a in SUITE], (dx, dy, r)
 
 
 def test_sn_necklace_oracles():

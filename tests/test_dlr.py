@@ -10,11 +10,8 @@ from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2,
 from dpoisson.brackets import BracketSpec, run_bracket_checks
 from dpoisson.dlr import (
     BimoduleSpec,
-    BracketClass,
     DLRData,
     assoc_product_check,
-    bracket_is_zero,
-    classify_bracket,
     dlr_check,
     dlr_to_linear,
     linear_to_dlr,
@@ -263,45 +260,35 @@ def test_dlr_evaluators_match_the_linear_bracket(d):
 
 
 def test_linear_to_dlr_rejects_higher_terms():
-    with pytest.raises(ValueError, match="not a linear bracket"):
-        linear_to_dlr(block("quadratic.dbr", "QB"), BimoduleSpec(FreeAlgebra(()), [Generator("m")]))
+    bm = BimoduleSpec(FreeAlgebra((Generator("x"),)), [Generator("m")])
+    amb = bm.ambient
+    shapes = {  # one table that is not linear per shape
+        "module pair of weight 0": {("m", "m"): tensor2(amb, ("1", "1"))},
+        "nonzero base pair": {("x", "x"): tensor2(amb, ("x", "1"))},
+        "anchor with a module leg": {("m", "x"): tensor2(amb, ("m", "1"))},
+    }
+    cases = [("quadratic module pair", block("quadratic.dbr", "QB"),
+              BimoduleSpec(FreeAlgebra(()), [Generator("m")]))]
+    cases += [(name, BracketSpec(amb, ShiftContext(0), table), bm)
+              for name, table in shapes.items()]
+    for name, spec, bimodule in cases:
+        with pytest.raises(ValueError, match="not a linear bracket"):
+            linear_to_dlr(spec, bimodule)
+            pytest.fail(name)
 
 
 def test_linear_to_dlr_fills_missing_orientation():
-    # store only (m, x); the (x, m) value must come from antisymmetry
-    bm = BimoduleSpec(FreeAlgebra((Generator("x"),)), [Generator("m")])
-    amb = bm.ambient
-    spec = BracketSpec(
-        amb, ShiftContext(0), {("m", "x"): tensor2(amb, ("x", "1"), ("1", "x", -1))}
-    )
-    data = linear_to_dlr(spec, bm)
-    assert data.anchor_gen("m", "x") is not None
-    assert dlr_to_linear(data).eval_words(amb.word("x"), amb.word("m")) == spec.eval_words(
-        amb.word("x"), amb.word("m")
-    )
-
-
-# -- classification -------------------------------------------------------
-
-
-def test_classify_linear():
-    spec = dlr_to_linear(block("koszul_f2.dbr", "K"))
-    assert classify_bracket(spec) is BracketClass.LINEAR
-
-
-def test_classify_zero():
-    spec = dlr_to_linear(block("zero.dbr", "ZERO"))
-    assert classify_bracket(spec) is BracketClass.CONSTANT
-    assert bracket_is_zero(spec)
-
-
-def test_classify_quadratic():
-    assert classify_bracket(block("quadratic.dbr", "QB")) is BracketClass.QUADRATIC
-
-
-def test_classify_requires_module_generators():
-    with pytest.raises(ValueError, match="no module generators"):
-        classify_bracket(block("f1.dbr", "B"))
+    # store only (x, m); the anchor value (m, x) must come from antisymmetry
+    for dx, dm, r in [(0, 0, 0), (1, 0, 0), (1, 1, -1)]:
+        bm = BimoduleSpec(FreeAlgebra((Generator("x", dx),)), [Generator("m", dm)])
+        amb = bm.ambient
+        x, m = amb.word("x"), amb.word("m")
+        mx = tensor2(amb, ("x", "1"), ("1", "x", -1))
+        xm = BracketSpec(amb, ShiftContext(r), {("m", "x"): mx}).eval_words(x, m)
+        spec = BracketSpec(amb, ShiftContext(r), {("x", "m"): xm})
+        data = linear_to_dlr(spec, bm)
+        assert data.anchor_gen(amb.index("m"), amb.index("x")) == mx, (dx, dm, r)
+        assert dlr_to_linear(data).eval_words(x, m) == spec.eval_words(x, m)
 
 
 # -- product tables -------------------------------------------------------
