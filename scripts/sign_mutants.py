@@ -5,7 +5,9 @@ Each mutant changes one sign site of src/dpoisson and nothing else:
 
   sign_exp   a call sign_exp(...) replaced by the constant 1;
   parity     the parity test of Sparse.permute read as even;
-  has_odd    a read of FreeAlgebra.has_odd replaced by False.
+  has_odd    a read of FreeAlgebra.has_odd replaced by False;
+  negation   a negated coefficient passed to bilinear, outer or inner
+             (-1, -s) replaced by its operand.
 
 Every mutant runs the given test selection with -x in its own copy of the
 checkout, two at a time, and the survey prints one line per site:
@@ -36,16 +38,22 @@ from typing import Optional
 HERE = pathlib.Path(__file__).resolve().parent
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 JOBS = 2         # mutants run at a time
+ACTIONS = ("bilinear", "outer", "inner")  # take a coefficient whose negation is a site
 TIMEOUT = 900.0  # seconds per run of the selection; a hung mutant reads "(timeout)"
 
 
 def sites(path: pathlib.Path) -> list:
     """(line, col, end_line, end_col, replacement, kind) of every sign site
     of one source file, in source order."""
+    text = path.read_text()
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sign_exp":
             found.append((node, "1", "sign_exp"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ACTIONS:
+            for arg in (*node.args, *(k.value for k in node.keywords)):
+                if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub):
+                    found.append((arg, ast.get_source_segment(text, arg.operand), "negation"))
         elif (isinstance(node, ast.Attribute) and node.attr == "has_odd"
               and isinstance(node.ctx, ast.Load)):
             found.append((node, "False", "has_odd"))

@@ -18,12 +18,23 @@ own Koszul sign; the signs written below are those of the rules.
 
   antisymmetry: {{a,b}} = -(-1)^((r+|a|)(r+|b|)) tau({{b,a}}) where tau is
   the signed leg swap u (x) v -> (-1)^(|u||v|) v (x) u.
+
+The axiom checks run on the integral multiple of the table
+(`BracketSpec.integral`): the table times D, the least common denominator
+of its coefficients, so their kernels multiply ints, not Fractions.  Every
+identity checked is homogeneous in the bracket, so the multiple fails on
+exactly the same inputs, and each residual is D^k times the true one,
+scaled back by 1/D^k before it is rendered: k = 1 for antisymmetry and
+extension order, k = 2 for double Jacobi, cyclic stability, left Leibniz
+and necklace Jacobi.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from .core import (
@@ -77,6 +88,7 @@ class BracketSpec:
             self.table[(i, j)] = val
         self._validate()
         self._cache: dict = {}
+        self._integral = None  # () when the table is integral, else (multiple, D)
 
     def __eq__(self, other):
         return (
@@ -118,6 +130,17 @@ class BracketSpec:
                 self.table[(j, i)], alg.gens[i].degree, alg.gens[j].degree, r
             )
         return Tensor2(self.algebra, {})
+
+    def integral(self) -> tuple:
+        """(multiple, D): D is the least common denominator of the table's
+        coefficients and multiple a spec of the same type holding the table
+        times D; (self, 1) when D is 1.  Computed once per spec, so the
+        checks run on one spec share the multiple's evaluator cache."""
+        if self._integral is None:
+            d = math.lcm(*(c.denominator for t in self.table.values() for c in t.terms.values()))
+            self._integral = () if d == 1 else (type(self)(
+                self.algebra, self.shift, {k: t.scale(d) for k, t in self.table.items()}), d)
+        return self._integral or (self, 1)
 
     # -- word-level evaluation -------------------------------------------
 
@@ -307,6 +330,7 @@ def _word_pairs(alg: FreeAlgebra, max_len: int):
 
 
 def check_antisymmetry(spec: BracketSpec, max_len: int = 3) -> CheckReport:
+    spec, d = spec.integral()
     alg, r = spec.algebra, spec.shift.r
 
     def failures():
@@ -316,7 +340,7 @@ def check_antisymmetry(spec: BracketSpec, max_len: int = 3) -> CheckReport:
                 (1, 0), sign_exp(r + d1, r + d2)
             )
             if res:
-                yield alg.render_words(w1, w2), res.render()
+                yield alg.render_words(w1, w2), res.scale(Fraction(1, d)).render()
 
     return CheckReport("antisymmetry", max_len).first_failure("antisymmetry", failures())
 
@@ -331,6 +355,7 @@ def check_extension_order(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     It only shows that the two rules commute: both expansions send a
     single-letter first slot through the right rule, so a right rule off by
     a constant factor passes here (antisymmetry catches it)."""
+    spec, d = spec.integral()
     alg = spec.algebra
     ev = spec.eval_words
 
@@ -339,7 +364,7 @@ def check_extension_order(spec: BracketSpec, max_len: int = 3) -> CheckReport:
             if w1 and len(w2) > 1:
                 diff = ev(w1, w2) - spec._right_rule(w1, w2, ev(w1, w2[:1]), ev(w1, w2[1:]))
                 if diff:
-                    yield alg.render_words(w1, w2), diff.render()
+                    yield alg.render_words(w1, w2), diff.scale(Fraction(1, d)).render()
 
     return CheckReport("extension-order", max_len).first_failure("extension-order", failures())
 
@@ -349,6 +374,7 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     jacobiator; unlike the other checks it evaluates every triple, once per
     orbit of the rotation (a, b, c) -> (c, a, b), whose three jacobiators
     share their three first terms."""
+    spec, d = spec.integral()
     alg, r = spec.algebra, spec.shift.r
     words = list(alg.words_up_to(max_len))
     degs = [alg.degree(w) + r for w in words]  # shifted slot degrees
@@ -378,7 +404,8 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
 
     def found(least) -> list:
         return [] if least is None else [
-            (alg.render_words(*(words[p] for p in least[0])), least[1].render())]
+            (alg.render_words(*(words[p] for p in least[0])),
+             least[1].scale(Fraction(1, d * d)).render())]
 
     rep = CheckReport("double-jacobi", max_len)
     rep.first_failure("double-jacobi", found(nonzero))
@@ -387,6 +414,8 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
 
 def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     """{a,{b,c}} = {{a,b},c} + (-1)^((r+|a|)(r+|b|)) {b,{a,c}} on words."""
+    spec, d = spec.integral()
+    back = Fraction(1, d * d)
     alg, r = spec.algebra, spec.shift.r
     words = list(alg.words_up_to(max_len))
 
@@ -400,7 +429,7 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         later: list = [[] for _ in words]
         for i, wa in enumerate(words):
             for wb, wc, res in later[i]:
-                yield alg.render_words(wa, wb, wc), res.render()
+                yield alg.render_words(wa, wb, wc), res.scale(back).render()
             for j in range(i, len(words)):
                 wb = words[j]
                 s = sign_exp(r + alg.degree(wa), r + alg.degree(wb))
@@ -411,7 +440,7 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
                     for w, c in b_ac.items():
                         res[w] = res.get(w, 0) - s * c
                     if any(res.values()):
-                        yield alg.render_words(wa, wb, wc), NCPoly(alg, res).render()
+                        yield alg.render_words(wa, wb, wc), NCPoly(alg, res).scale(back).render()
                     if j != i:
                         res = bilinear(dict(b_ac), lb, lb(wb, wa), {wc: 1}, -1)
                         for w, c in a_bc.items():
@@ -423,6 +452,7 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
 
 
 def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
+    spec, d = spec.integral()
     alg, r = spec.algebra, spec.shift.r
     words = [w for w in alg.words_up_to(max_len) if w]
     # necklace_bracket once per pair; its values are only read, and the
@@ -466,7 +496,7 @@ def check_necklace_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
             res = _clean(bilinear(res, nb, {b: 1}, nb(a, c), -s))
             if res:
                 yield (f"([{alg.render_word(a)}], [{alg.render_word(b)}], [{alg.render_word(c)}])",
-                       render_cyclic(alg, res))
+                       render_cyclic(alg, _clean({k: Fraction(v, d * d) for k, v in res.items()})))
 
     return rep.first_failure("necklace-jacobi", failures())
 

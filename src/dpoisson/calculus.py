@@ -54,7 +54,6 @@ class OmegaPresentation:
     """Bimodule of noncommutative 1-forms on a free base algebra."""
 
     def __init__(self, base: FreeAlgebra):
-        self.base = base
         self.bimodule = _prefixed_bimodule(base, "d", lambda g: g.degree)
         n = len(base.gens)
         # ambient index of dx_i for base index i
@@ -146,8 +145,6 @@ class DerPresentation:
     """Bimodule of generating double derivations, degree -|x_i| - r."""
 
     def __init__(self, base: FreeAlgebra, shift: ShiftContext = ShiftContext(0)):
-        self.base = base
-        self.shift = shift
         self.bimodule = _prefixed_bimodule(
             base, "D", lambda g: -g.degree - shift.r
         )

@@ -2,8 +2,14 @@
 
 Scalars are exact: a coefficient is stored as an `int` when it is integral
 and as a `fractions.Fraction` otherwise; nothing in this package ever
-touches floating point.  A word is a tuple of generator indices into a fixed
-`FreeAlgebra`; the empty tuple is the unit.
+touches floating point.  The bracket axiom checks keep to `int` arithmetic
+on a rational table by running on its integral multiple, D times the
+table for the least common denominator D of its coefficients, and scale
+each residual back by 1/D^k, k = 1 for the identities linear in the
+bracket and 2 for the quadratic ones (`BracketSpec.integral`).
+
+A word is a tuple of generator indices into a fixed `FreeAlgebra`; the
+empty tuple is the unit.
 
 Polynomials and tensors are one exact sparse class, `Sparse`: a map from
 words (one leg) or tuples of words (two or more legs) to nonzero

@@ -426,13 +426,18 @@ def test_rational_scaling_of_jacobi_residual(c):
 # -- double Jacobi, one rotation orbit at a time ---------------------------
 
 
+# coefficients of drawn tables: a table with a non-integral one is checked
+# on its integral multiple, and the references below evaluate it as drawn
+RATIONAL = st.sampled_from([-2, -1, Fraction(-1, 2), Fraction(1, 3), 1, Fraction(3, 2), 2])
+
+
 @st.composite
-def homogeneous_specs(draw):
+def homogeneous_specs(draw, coefficients=RATIONAL):
     """Tables on one or two generators of degree -1..2, shift -2..1, with
-    small integer coefficients on leg words of length <= 2; {{x_i, x_j}} is
-    drawn for i <= j and the transposes are synthesized by antisymmetry.
-    The degrees give all-even algebras of nonzero degree, on which the
-    kernels skip their leg signs, and odd generators of negative degree."""
+    small coefficients on leg words of length <= 2; {{x_i, x_j}} is drawn
+    for i <= j and the transposes are synthesized by antisymmetry.  The
+    degrees give all-even algebras of nonzero degree, on which the kernels
+    skip their leg signs, and odd generators of negative degree."""
     degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=2))
     A = FreeAlgebra(tuple(Generator(n, d) for n, d in zip("xy", degrees)))
     r = draw(st.integers(-2, 1))
@@ -443,8 +448,41 @@ def homogeneous_specs(draw):
                 if A.degree(u) + A.degree(v) == degrees[i] + degrees[j] + r]
         if keys:
             table[(i, j)] = Tensor2(A, draw(st.dictionaries(
-                st.sampled_from(keys), st.integers(-2, 2), max_size=3)))
+                st.sampled_from(keys), coefficients, max_size=3)))
     return BracketSpec(A, ShiftContext(r), table)
+
+
+def test_integral_multiple_is_memoised():
+    f1 = block("f1.dbr", "B")
+    assert f1.integral() == (f1, 1) and f1.integral()[0] is f1
+    odd = block("rational.dbr", "ODD")
+    multiple, d = odd.integral()
+    assert d == 6 and odd.integral()[0] is multiple
+    assert multiple.table == {k: t.scale(6) for k, t in odd.table.items()}
+    assert all(type(c) is int for t in multiple.table.values() for c in t.terms.values())
+    sub = type("Sub", (BracketSpec,), {})(odd.algebra, odd.shift, odd.table)
+    assert type(sub.integral()[0]) is type(sub)
+
+
+def reference_antisymmetry(spec, max_len):
+    """The antisymmetry entry straight from eval_words of the table as
+    drawn, on every word pair in product order: the first nonzero residual
+    {{a,b}} minus the partner antisymmetry forces from {{b,a}}, or None."""
+    A, r = spec.algebra, spec.shift.r
+    words = list(A.words_up_to(max_len))
+    for w1, w2 in itertools.product(words, words):
+        res = spec.eval_words(w1, w2) - antisym_partner(
+            spec.eval_words(w2, w1), A.degree(w1), A.degree(w2), r)
+        if res:
+            return A.render_words(w1, w2), res.render()
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_specs())
+def test_antisymmetry_matches_eval_words_on_every_pair(spec):
+    e = check_antisymmetry(spec, max_len=2).entry("antisymmetry")
+    assert (None if e.passed else (e.witness, e.residual)) == reference_antisymmetry(spec, 2)
 
 
 def reference_double_jacobi(spec, max_len, bump=None):
@@ -603,14 +641,15 @@ def reference_extension_order(spec, max_len):
     return None
 
 
-def drifted(spec, rule, at):
-    """spec with 1 (x) 1 added to the output of its derivation rule `rule`
-    (the method name) at the word pair `at`."""
+def drifted(spec, rule, at, drift=lambda t: t + tensor2(t.algebra, ("1", "1"))):
+    """spec with the output t of its derivation rule `rule` (the method
+    name) replaced by drift(t) at the word pair `at`; by default 1 (x) 1 is
+    added."""
     plain = getattr(BracketSpec, rule)
 
     def rule_with_drift(self, w1, w2, x, y):
         out = plain(self, w1, w2, x, y)
-        return out + tensor2(self.algebra, ("1", "1")) if (w1, w2) == at else out
+        return drift(out) if (w1, w2) == at else out
 
     return type("Drifted", (BracketSpec,), {rule: rule_with_drift})(
         spec.algebra, spec.shift, spec.table)
@@ -619,8 +658,10 @@ def drifted(spec, rule, at):
 @st.composite
 def drifted_specs(draw, max_len=3):
     """A homogeneous spec, as drawn or with one rule drifted at a pair
-    whose split slot has two or more letters."""
-    spec = draw(homogeneous_specs())
+    whose split slot has two or more letters.  Its coefficients are
+    integers: the drift is added to a rule, not to the table, so it does
+    not scale with the table as the check's integral multiple does."""
+    spec = draw(homogeneous_specs(st.integers(-2, 2)))
     rule = draw(st.sampled_from([None, "_left_rule", "_right_rule"]))
     if rule is None:
         return spec
@@ -635,3 +676,16 @@ def drifted_specs(draw, max_len=3):
 def test_extension_order_matches_the_second_slot_first_expansion(spec):
     e = check_extension_order(spec, max_len=3).entry("extension-order")
     assert (None if e.passed else (e.witness, e.residual)) == reference_extension_order(spec, 3)
+
+
+def test_extension_order_residual_of_a_rational_table_is_scaled_back():
+    # a left rule doubled at one pair drifts by an amount linear in the
+    # table, so the check's integral multiple (D = 6) fails at the same
+    # pair with 6 times the residual of the table as given
+    spec = block("rational.dbr", "P")
+    A = spec.algebra
+    bad = drifted(spec, "_left_rule", (A.word("x.x"), A.word("x")), lambda t: t.scale(2))
+    e = check_extension_order(bad, max_len=3).entry("extension-order")
+    assert (e.witness, e.residual) == reference_extension_order(bad, 3)
+    assert e.witness == "(x.x, x.x)"
+    assert e.residual == "1/2 * 1 (*) x.x.x + 1/2 * x (*) x.x - 1/2 * x.x (*) x - 1/2 * x.x.x (*) 1"
