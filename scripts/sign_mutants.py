@@ -38,7 +38,6 @@ from typing import Optional
 HERE = pathlib.Path(__file__).resolve().parent
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 JOBS = 2         # mutants run at a time
-ACTIONS = ("bilinear", "outer", "inner")  # take a coefficient whose negation is a site
 TIMEOUT = 900.0  # seconds per run of the selection; a hung mutant reads "(timeout)"
 
 
@@ -46,11 +45,12 @@ def sites(path: pathlib.Path) -> list:
     """(line, col, end_line, end_col, replacement, kind) of every sign site
     of one source file, in source order."""
     text = path.read_text()
+    actions = ("bilinear", "outer", "inner")  # a negated coefficient passed to one is a site
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sign_exp":
             found.append((node, "1", "sign_exp"))
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ACTIONS:
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in actions:
             for arg in (*node.args, *(k.value for k in node.keywords)):
                 if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub):
                     found.append((arg, ast.get_source_segment(text, arg.operand), "negation"))

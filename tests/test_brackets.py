@@ -688,4 +688,5 @@ def test_extension_order_residual_of_a_rational_table_is_scaled_back():
     e = check_extension_order(bad, max_len=3).entry("extension-order")
     assert (e.witness, e.residual) == reference_extension_order(bad, 3)
     assert e.witness == "(x.x, x.x)"
-    assert e.residual == "1/2 * 1 (*) x.x.x + 1/2 * x (*) x.x - 1/2 * x.x (*) x - 1/2 * x.x.x (*) 1"
+    assert e.residual == ("1/2 * 1 (*) x.x.x + 1/2 * x (*) x.x"
+                          " - 1/2 * x.x (*) x - 1/2 * x.x.x (*) 1")
