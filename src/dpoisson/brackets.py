@@ -27,6 +27,9 @@ exactly the same inputs, and each residual is D^k times the true one,
 scaled back by 1/D^k before it is rendered: k = 1 for antisymmetry and
 extension order, k = 2 for double Jacobi, cyclic stability, left Leibniz
 and necklace Jacobi.
+
+Double Jacobi and left Leibniz run on per-check word ids (`_word_ids`);
+`double_jacobiator` and `leibniz_bracket` stay word-level, their references.
 """
 
 from __future__ import annotations
@@ -201,36 +204,68 @@ def _first_term_words(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> dict:
     return out
 
 
-def _orbit_jacobiators(spec: BracketSpec, wa: Word, wb: Word, wc: Word) -> tuple:
-    """Raw jacobiators of the rotations (wa, wb, wc), (wc, wa, wb), (wb, wc, wa).
+def _word_ids(spec: BracketSpec, max_len: int) -> tuple:
+    """(words, degs, ev, lb) of one check: the words up to max_len are ids
+    0..n-1 in enumeration order, each new leg word takes the next id, and
+    degs[i] is the degree of words[i]; ev(i, j) and lb(i, j), memoised, are
+    the terms of eval_words and _leibniz_words at (words[i], words[j]) as
+    tuples (id1, id2, c) and (id, c)."""
+    words = list(spec.algebra.words_up_to(max_len))
+    degs = list(map(spec.algebra.degree, words))
+    ids = {w: i for i, w in enumerate(words)}
+
+    def word_id(w: Word) -> int:
+        if w not in ids:
+            ids[w] = len(words)
+            words.append(w)
+            degs.append(spec.algebra.degree(w))
+        return ids[w]
+
+    @functools.cache
+    def ev(i: int, j: int) -> tuple:
+        return tuple((word_id(u), word_id(v), c)
+                     for (u, v), c in spec.eval_words(words[i], words[j]).terms.items())
+
+    @functools.cache
+    def lb(i: int, j: int) -> tuple:
+        return tuple((word_id(w), c) for w, c in _leibniz_words(spec, words[i], words[j]).items())
+
+    return words, degs, ev, lb
+
+
+def _orbit_jacobiators(ev, degs: list, odd: bool, r: int, i: int, j: int, k: int) -> tuple:
+    """Raw jacobiators, keyed by leg ids, of the rotations (i, j, k),
+    (k, i, j), (j, k, i) of word ids; ev is the id table of eval_words.
 
     Rotation m adds to its first term F_m the terms F_m+1 and F_m+2 with
     output legs rotated once and twice, p1 (x) p2 (x) p3 -> p2 (x) p3 (x) p1.
-    The first term of (x, y, z) is walked once, straight from the evaluator:
+    The first term of (x, y, z) is walked once, straight from the table:
     each term y1 (x) y2 of {{y, z}} and p1 (x) p2 of {{x, y1}} add their
     product at p1 (x) p2 (x) y2 into their own jacobiator and, rotated, into
-    the other two.  The leg signs of the rotations are computed only on an
-    algebra with an odd generator; on any other they are +1."""
-    alg, r = spec.algebra, spec.shift.r
-    deg, odd, ev = alg.degree, alg.has_odd, spec.eval_words
-    a, b, c = deg(wa) + r, deg(wb) + r, deg(wc) + r  # shifted slot degrees
+    the other two, unless all three {{y, z}} vanish.  The leg signs of the
+    rotations are computed only on an algebra with an odd generator (odd);
+    on any other they are +1."""
+    jacs = ({}, {}, {})
+    yzs = (ev(j, k), ev(i, j), ev(k, i))  # {{y, z}} of the three rotations
+    if not any(yzs):
+        return jacs
+    a, b, c = degs[i] + r, degs[j] + r, degs[k] + r  # shifted slot degrees
     # rotation n, of shifted degrees (A, B, C), takes F_n+1 with the sign
     # s[n] = (-1)^((A+B)C) and F_n+2 with (-1)^(A(B+C)) = s[n - 1]
     s = (sign_exp(a + b, c), sign_exp(c + a, b), sign_exp(b + c, a))
-    jacs = ({}, {}, {})
-    for m, (x, y, z) in enumerate(((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
+    for m, (x, yz) in enumerate(zip((i, k, j), yzs)):
         # F_m is the F_n+1 of rotation n = m - 1 and the F_n+2 of n = m - 2
         own, once, twice = jacs[m], jacs[m - 1], jacs[m - 2]
         s_once, s_twice = s[m - 1], s[m]
-        for (y1, y2), cy in ev(y, z).terms.items():
-            d3 = deg(y2) if odd else 0
-            for (p1, p2), cp in ev(x, y1).terms.items():
+        for y1, y2, cy in yz:
+            d3 = degs[y2] if odd else 0
+            for p1, p2, cp in ev(x, y1):
                 cf = cy * cp
                 key = (p1, p2, y2)
                 own[key] = own.get(key, 0) + cf
                 c_once, c_twice = s_once * cf, s_twice * cf
                 if odd:
-                    d1, d2 = deg(p1), deg(p2)
+                    d1, d2 = degs[p1], degs[p2]
                     c_once *= sign_exp(d1, d2 + d3)
                     c_twice *= sign_exp(d1 + d2, d3)
                 key = (p2, y2, p1)
@@ -375,37 +410,42 @@ def check_double_jacobi(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     orbit of the rotation (a, b, c) -> (c, a, b), whose three jacobiators
     share their three first terms."""
     spec, d = spec.integral()
-    alg, r = spec.algebra, spec.shift.r
-    words = list(alg.words_up_to(max_len))
-    degs = [alg.degree(w) + r for w in words]  # shifted slot degrees
+    alg, r, odd = spec.algebra, spec.shift.r, spec.algebra.has_odd
+    words, degs, ev, _ = _word_ids(spec, max_len)
     n = len(words)
-    # (word positions, residual) of the least failing triple of each entry:
-    # the least positions are the first triple in enumeration order
+    shifted = [dg + r for dg in degs]  # shifted slot degrees of the enumerated words
+    # (word ids, raw residual) of the least failing triple of each entry:
+    # the least ids are the first triple in enumeration order
     nonzero = unstable = None
     for i in range(n):
         for j in range(i, n):
             for k in range(i if j == i else i + 1, n):
-                jacs = _orbit_jacobiators(spec, words[i], words[j], words[k])
+                jacs = _orbit_jacobiators(ev, degs, odd, r, i, j, k)
                 if not any(map(any, map(dict.values, jacs))):
                     continue
                 orbit = ((i, j, k), (k, i, j), (j, k, i))
-                vals = [Tensor3(alg, jac) for jac in jacs]
                 # the jacobiator must be fixed by the signed cyclic rotation
                 # of inputs and output legs simultaneously (output legs are
                 # bare algebra factors, so their rotation pays no shift);
                 # the rotation of orbit[m] is orbit[m + 1]
-                for m, (t, val) in enumerate(zip(orbit, vals)):
-                    if val and (nonzero is None or t < nonzero[0]):
+                for m, (t, val) in enumerate(zip(orbit, jacs)):
+                    if any(val.values()) and (nonzero is None or t < nonzero[0]):
                         nonzero = t, val
-                    s_in = sign_exp(degs[t[0]] + degs[t[1]], degs[t[2]])
-                    other = vals[(m + 1) % 3].permute((1, 2, 0), s_in)
-                    if val != other and (unstable is None or t < unstable[0]):
-                        unstable = t, val - other
+                    res = dict(val)
+                    s_in = sign_exp(shifted[t[0]] + shifted[t[1]], shifted[t[2]])
+                    for (p1, p2, p3), c in jacs[(m + 1) % 3].items():
+                        if odd:
+                            c *= sign_exp(degs[p1], degs[p2] + degs[p3])
+                        key = (p2, p3, p1)
+                        res[key] = res.get(key, 0) - s_in * c
+                    if any(res.values()) and (unstable is None or t < unstable[0]):
+                        unstable = t, res
 
     def found(least) -> list:
         return [] if least is None else [
             (alg.render_words(*(words[p] for p in least[0])),
-             least[1].scale(Fraction(1, d * d)).render())]
+             Tensor3(alg, {tuple(words[p] for p in key): c for key, c in least[1].items()})
+             .scale(Fraction(1, d * d)).render())]
 
     rep = CheckReport("double-jacobi", max_len)
     rep.first_failure("double-jacobi", found(nonzero))
@@ -417,36 +457,52 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
     spec, d = spec.integral()
     back = Fraction(1, d * d)
     alg, r = spec.algebra, spec.shift.r
-    words = list(alg.words_up_to(max_len))
+    words, degs, _, lb = _word_ids(spec, max_len)
+    n = len(words)
 
-    lb = functools.cache(functools.partial(_leibniz_words, spec))
+    def nested(x: int, y: int, z: int) -> dict:
+        """{x,{y,z}} on ids."""
+        out: dict = {}
+        for w, cw in lb(y, z):
+            for u, cu in lb(x, w):
+                out[u] = out.get(u, 0) + cw * cu
+        return out
+
+    def residual(x: int, y: int, z: int, x_yz: dict, y_xz: dict, s: int) -> dict:
+        """{x,{y,z}} - {{x,y},z} - s {y,{x,z}} from its first and last terms."""
+        res = dict(x_yz)
+        for w, cw in lb(x, y):
+            for u, cu in lb(w, z):
+                res[u] = res.get(u, 0) - cw * cu
+        for u, c in y_xz.items():
+            res[u] = res.get(u, 0) - s * c
+        return res
+
+    def failure(i: int, j: int, k: int, res: dict) -> tuple:
+        return (alg.render_words(words[i], words[j], words[k]),
+                NCPoly(alg, {words[u]: c for u, c in res.items()}).scale(back).render())
 
     def failures():
         # row i evaluates (i, j, k) and its swap (j, i, k) for every j >= i
         # from the shared terms {a,{b,c}} and {b,{a,c}} (the sign is
         # symmetric in a and b); a swap failure waits in later[j], in
         # enumeration order, for row j, which it precedes
-        later: list = [[] for _ in words]
-        for i, wa in enumerate(words):
-            for wb, wc, res in later[i]:
-                yield alg.render_words(wa, wb, wc), res.scale(back).render()
-            for j in range(i, len(words)):
-                wb = words[j]
-                s = sign_exp(r + alg.degree(wa), r + alg.degree(wb))
-                for wc in words:
-                    a_bc = bilinear({}, lb, {wa: 1}, lb(wb, wc))
-                    b_ac = a_bc if j == i else bilinear({}, lb, {wb: 1}, lb(wa, wc))
-                    res = bilinear(dict(a_bc), lb, lb(wa, wb), {wc: 1}, -1)
-                    for w, c in b_ac.items():
-                        res[w] = res.get(w, 0) - s * c
+        later: list = [[] for _ in range(n)]
+        for i in range(n):
+            for b, k, res in later[i]:
+                yield failure(i, b, k, res)
+            for j in range(i, n):
+                s = sign_exp(r + degs[i], r + degs[j])
+                for k in range(n):
+                    a_bc = nested(i, j, k)
+                    b_ac = a_bc if j == i else nested(j, i, k)
+                    res = residual(i, j, k, a_bc, b_ac, s)
                     if any(res.values()):
-                        yield alg.render_words(wa, wb, wc), NCPoly(alg, res).scale(back).render()
+                        yield failure(i, j, k, res)
                     if j != i:
-                        res = bilinear(dict(b_ac), lb, lb(wb, wa), {wc: 1}, -1)
-                        for w, c in a_bc.items():
-                            res[w] = res.get(w, 0) - s * c
+                        res = residual(j, i, k, b_ac, a_bc, s)
                         if any(res.values()):
-                            later[j].append((wa, wc, NCPoly(alg, res)))
+                            later[j].append((i, k, res))
 
     return CheckReport("left-leibniz", max_len).first_failure("left-leibniz", failures())
 

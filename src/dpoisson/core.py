@@ -27,8 +27,10 @@ A double bracket is a derivation in its second slot for the outer action
 and in its first slot for the inner one; `outer` and `inner` add an action
 into an accumulating dict, as `add_into` adds raw (key, coefficient) pairs
 and `bilinear` c times the bilinear extension of a map defined on pairs of
-words.  The hot kernels (the double-Jacobi orbit kernel in `brackets.py`
-and dlr conditions (c) and (d)) move their legs inline.
+words.  The hot kernels accumulate inline instead: the double-Jacobi
+orbit kernel and the left-Leibniz check in `brackets.py`, which run on
+per-check int ids of words and a table of values per pair of ids, and dlr
+conditions (c) and (d); all but left Leibniz move their legs inline.
 
 Every graded sign in the package is (-1)^(d1*d2) for moving material of
 total degree d1 past material of total degree d2, computed by `sign_exp` or

@@ -508,8 +508,21 @@ def reference_double_jacobi(spec, max_len, bump=None):
             for failing in (nonzero, unstable)]
 
 
+# homogeneous_specs draws at most two generators; this table has three, e
+# odd.  {{x, y}} fails double Jacobi (first at (x, x, y)), and {{x, x}},
+# {{y, y}} and {{y, e}} vanish, so the orbit of (x, x, x) has no inner
+# bracket
+WIDE_A = FreeAlgebra((Generator("x"), Generator("y"), Generator("e", 1)))
+WIDE = BracketSpec(WIDE_A, ShiftContext(0), {
+    ("x", "y"): tensor2(WIDE_A, ("x", "y")),
+    ("x", "e"): tensor2(WIDE_A, ("1", "e"), ("e", "x", 2)),
+    ("e", "e"): tensor2(WIDE_A, ("e", "e"), ("x", "e.e", -1)),
+})
+
+
 @settings(max_examples=40, deadline=None)
 @given(homogeneous_specs())
+@example(WIDE)
 def test_double_jacobi_matches_jacobiator_on_every_triple(spec):
     rep = check_double_jacobi(spec, max_len=2)
     got = [None if e.passed else (e.witness, e.residual) for e in rep.entries]
@@ -525,12 +538,16 @@ def test_cyclic_stability_witness_is_first_in_enumeration_order(monkeypatch, tri
     bad = tuple(A.word(w) for w in triple.split(", "))
     orbit = brackets._orbit_jacobiators
     key = (A.word("x"), (), A.word("y"))
+    # the kernel keys by word ids: the enumerated words are 0..n-1 in order
+    ids = {w: p for p, w in enumerate(A.words_up_to(2))}
+    bad_ids, key_ids = (tuple(ids[w] for w in ws) for ws in (bad, key))
 
-    def corrupted(spec, wa, wb, wc):
-        jacs = orbit(spec, wa, wb, wc)
-        for jac, t in zip(jacs, ((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
-            if t == bad:
-                jac[key] = jac.get(key, 0) + 1
+    def corrupted(*args):
+        jacs = orbit(*args)
+        i, j, k = args[-3:]
+        for jac, t in zip(jacs, ((i, j, k), (k, i, j), (j, k, i))):
+            if t == bad_ids:
+                jac[key_ids] = jac.get(key_ids, 0) + 1
         return jacs
 
     monkeypatch.setattr(brackets, "_orbit_jacobiators", corrupted)
@@ -546,9 +563,9 @@ def test_double_jacobi_first_terms_once_per_orbit(monkeypatch):
     seen = []
     orbit = brackets._orbit_jacobiators
 
-    def counted(spec, *triple):
-        seen.append(triple)
-        return orbit(spec, *triple)
+    def counted(*args):
+        seen.append(args[-3:])  # the word ids of the orbit's least rotation
+        return orbit(*args)
 
     monkeypatch.setattr(brackets, "_orbit_jacobiators", counted)
     spec = block("f1.dbr", "B")
@@ -589,9 +606,34 @@ SWAP_FIRST = BracketSpec(FreeAlgebra((Generator("x"),)), ShiftContext(0),
 @settings(max_examples=40, deadline=None)
 @given(homogeneous_specs())
 @example(SWAP_FIRST)
+@example(WIDE)
 def test_left_leibniz_matches_leibniz_bracket_on_every_triple(spec):
     e = check_left_leibniz(spec, max_len=2).entry("left-leibniz")
     assert (None if e.passed else (e.witness, e.residual)) == reference_left_leibniz(spec, 2)
+
+
+def test_quadratic_checks_evaluate_each_pair_once(monkeypatch):
+    # the id tables ask eval_words (double Jacobi) and _leibniz_words (left
+    # Leibniz) once per pair of words; a per-term lookup would ask again
+    calls = []
+    ev, lw = BracketSpec.eval_words, brackets._leibniz_words
+
+    def counted_ev(spec, w1, w2):
+        calls.append((w1, w2))
+        return ev(spec, w1, w2)
+
+    def counted_lw(spec, w1, w2):
+        calls.append((w1, w2))
+        return lw(spec, w1, w2)
+
+    monkeypatch.setattr(BracketSpec, "eval_words", counted_ev)
+    check_double_jacobi(block("f1.dbr", "B"), max_len=2)
+    assert calls and len(calls) == len(set(calls))
+    monkeypatch.setattr(BracketSpec, "eval_words", ev)
+    calls.clear()
+    monkeypatch.setattr(brackets, "_leibniz_words", counted_lw)
+    check_left_leibniz(block("f1.dbr", "B"), max_len=2)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_necklace_brackets_once_per_pair(monkeypatch):

@@ -89,17 +89,22 @@ def test_extension_order_misses_a_scaled_right_rule():
 def test_jacobi_cyclic_stability_fail_line(monkeypatch):
     # x (x) 1 (x) 1 added to the jacobiator of (x, y, y) only: its
     # rotation partner (y, x, y) stays zero
+    # the kernel keys by word ids, the enumeration positions of (), x, y, ...
     orbit = brackets._orbit_jacobiators
+    f1 = block("f1.dbr", "B")
+    ids = {w: p for p, w in enumerate(f1.algebra.words_up_to(2))}
+    bad, key = (ids[(0,)], ids[(1,)], ids[(1,)]), (ids[(0,)], ids[()], ids[()])
 
-    def corrupted(spec, wa, wb, wc):
-        jacs = orbit(spec, wa, wb, wc)
-        for jac, t in zip(jacs, ((wa, wb, wc), (wc, wa, wb), (wb, wc, wa))):
-            if t == ((0,), (1,), (1,)):
-                jac[((0,), (), ())] = jac.get(((0,), (), ()), 0) + 1
+    def corrupted(*args):
+        jacs = orbit(*args)
+        i, j, k = args[-3:]
+        for jac, t in zip(jacs, ((i, j, k), (k, i, j), (j, k, i))):
+            if t == bad:
+                jac[key] = jac.get(key, 0) + 1
         return jacs
 
     monkeypatch.setattr(brackets, "_orbit_jacobiators", corrupted)
-    assert lines(check_double_jacobi(block("f1.dbr", "B"), max_len=2)) == [
+    assert lines(check_double_jacobi(f1, max_len=2)) == [
         "double-jacobi: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",
         "jacobi-cyclic-stability: FAIL at (x, y, y)  residual: x (*) 1 (*) 1",
     ]
