@@ -7,7 +7,9 @@ Each mutant changes one sign site of src/dpoisson and nothing else:
   parity     the parity test of Sparse.permute read as even;
   has_odd    a read of FreeAlgebra.has_odd replaced by False;
   negation   a negated coefficient passed to bilinear, outer or inner
-             (-1, -s) replaced by its operand.
+             (-1, -s) replaced by its operand;
+  subtract   an inline accumulation d[k] = d.get(k, 0) - x read as
+             d.get(k, 0) + x.
 
 Every mutant runs the given test selection with -x in its own copy of the
 checkout, two at a time, and the survey prints one line per site:
@@ -54,6 +56,10 @@ def sites(path: pathlib.Path) -> list:
             for arg in (*node.args, *(k.value for k in node.keywords)):
                 if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub):
                     found.append((arg, ast.get_source_segment(text, arg.operand), "negation"))
+        elif _is_inline_subtraction(node):
+            left, right = (ast.get_source_segment(text, x)
+                           for x in (node.value.left, node.value.right))
+            found.append((node.value, f"{left} + {right}", "subtract"))
         elif (isinstance(node, ast.Attribute) and node.attr == "has_odd"
               and isinstance(node.ctx, ast.Load)):
             found.append((node, "False", "has_odd"))
@@ -63,6 +69,20 @@ def sites(path: pathlib.Path) -> list:
                     found.append((sub.test, "0", "parity"))
     return sorted((n.lineno, n.col_offset, n.end_lineno, n.end_col_offset, rep, kind)
                   for n, rep, kind in found)
+
+
+def _is_inline_subtraction(node: ast.AST) -> bool:
+    """node is d[k] = d.get(k, 0) - x, for one name d."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Subscript)):
+        return False
+    target, value = node.targets[0].value, node.value
+    if not (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Sub)):
+        return False
+    get = value.left
+    return (isinstance(get, ast.Call) and isinstance(get.func, ast.Attribute)
+            and get.func.attr == "get" and isinstance(get.func.value, ast.Name)
+            and isinstance(target, ast.Name) and get.func.value.id == target.id)
 
 
 def mutate(text: str, site: tuple) -> str:

@@ -53,6 +53,7 @@ from .core import (
     bilinear,
     cyclic_class,
     inner,
+    intern_words,
     outer,
     render_terms,
     sign_exp,
@@ -210,16 +211,7 @@ def _word_ids(spec: BracketSpec, max_len: int) -> tuple:
     degs[i] is the degree of words[i]; ev(i, j) and lb(i, j), memoised, are
     the terms of eval_words and _leibniz_words at (words[i], words[j]) as
     tuples (id1, id2, c) and (id, c)."""
-    words = list(spec.algebra.words_up_to(max_len))
-    degs = list(map(spec.algebra.degree, words))
-    ids = {w: i for i, w in enumerate(words)}
-
-    def word_id(w: Word) -> int:
-        if w not in ids:
-            ids[w] = len(words)
-            words.append(w)
-            degs.append(spec.algebra.degree(w))
-        return ids[w]
+    words, degs, word_id = intern_words(spec.algebra, spec.algebra.words_up_to(max_len))
 
     @functools.cache
     def ev(i: int, j: int) -> tuple:

@@ -28,9 +28,10 @@ and in its first slot for the inner one; `outer` and `inner` add an action
 into an accumulating dict, as `add_into` adds raw (key, coefficient) pairs
 and `bilinear` c times the bilinear extension of a map defined on pairs of
 words.  The hot kernels accumulate inline instead: the double-Jacobi
-orbit kernel and the left-Leibniz check in `brackets.py`, which run on
-per-check int ids of words and a table of values per pair of ids, and dlr
-conditions (c) and (d); all but left Leibniz move their legs inline.
+orbit kernel and the left-Leibniz check in `brackets.py` and dlr
+conditions (c) and (d), which run on per-check int ids of words
+(`intern_words`) and a table of values per pair of ids; all but left
+Leibniz move their legs inline.
 
 Every graded sign in the package is (-1)^(d1*d2) for moving material of
 total degree d1 past material of total degree d2, computed by `sign_exp` or
@@ -246,6 +247,24 @@ def bilinear(out: dict, f, xs: Mapping, ys: Mapping, c: Scalar = 1) -> dict:
             for k, v in f(x, y).items():
                 out[k] = out.get(k, 0) + cxy * v
     return out
+
+
+def intern_words(algebra: FreeAlgebra, words: Iterable) -> tuple:
+    """(words, degs, word_id) of one check: the given words are ids 0..n-1
+    in order, word_id gives each new word the next id, and degs[i] is the
+    degree of words[i]; both lists grow as word_id meets new words."""
+    words = list(words)
+    degs = list(map(algebra.degree, words))
+    ids = {w: i for i, w in enumerate(words)}
+
+    def word_id(w: Word) -> int:
+        if w not in ids:
+            ids[w] = len(words)
+            words.append(w)
+            degs.append(algebra.degree(w))
+        return ids[w]
+
+    return words, degs, word_id
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ of brackets.BracketSpec, so agreement between dlr_check and the double
 Poisson suite of the merged bracket is a comparison of two independent
 computation paths.  The two share only the core arithmetic, the leg
 permutation and the two bimodule actions; each writes its own rule signs.
+Conditions (c) and (d) of dlr_check run on per-check word ids and read the
+evaluators' values from a table memoised per pair of ids (`_word_ids`).
 
 Extension rules (|w| means degree, r the shift; p Y q is the outer and
 p * Y * q the inner action of `core` on A (x) A, the inner one with its own
@@ -34,6 +36,7 @@ Koszul sign; the signs written here are those of the rules):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Tuple
 
@@ -48,6 +51,7 @@ from .core import (
     Word,
     bilinear,
     inner,
+    intern_words,
     outer,
     sign_exp,
 )
@@ -127,7 +131,6 @@ class DLRData:
             self.mbracket[(i, j)] = (l, r)
         self._validate()
         self._anchor_cache: dict = {}
-        self._rho_tau_cache: dict = {}
         self._mb_cache: dict = {}
 
     def _validate(self):
@@ -201,16 +204,6 @@ class DLRData:
                                      c=sign_exp(deg(q), r + deg(wa))))
         self._anchor_cache[key] = out
         return out
-
-    def rho_tau(self, wa: Word, wm: Word) -> Tensor2:
-        """Swapped anchor -tau rho tau, memoised like the anchor."""
-        key = (wa, wm)
-        hit = self._rho_tau_cache.get(key)
-        if hit is None:
-            deg, r = self.bimodule.ambient.degree, self.shift.r
-            hit = self._rho_tau_cache[key] = self.anchor_eval(wm, wa).permute(
-                (1, 0), -sign_exp(r + deg(wa), r + deg(wm)))
-        return hit
 
     # -- module bracket extension ----------------------------------------
 
@@ -350,65 +343,110 @@ def _b_derivation_compat(d: DLRData, mwords: list):
                 yield f"{alg.render_words(w1, w2)} {side} split {cut}", res
 
 
-def _c_anchor_jacobi(d: DLRData, mwords: list, bwords: list):
+def _word_ids(d: DLRData, mwords: list, bwords: list) -> tuple:
+    """(words, degs, mb, an) of one dlr_check: the module words, then the
+    base words, are ids 0..n-1 in enumeration order (core.intern_words).
+    mb(i, j) and an(i, j), memoised, are the values at (words[i], words[j])
+    as tuples (id1, id2, c): the l and r components of mb_eval, and the
+    anchor with its swap -tau rho tau (the swapped anchor at (j, i))."""
+    alg, r = d.bimodule.ambient, d.shift.r
+    words, degs, word_id = intern_words(alg, mwords + bwords)
+
+    def ids(t: Tensor2) -> tuple:
+        return tuple((word_id(u), word_id(v), c) for (u, v), c in t.terms.items())
+
+    @functools.cache
+    def mb(i: int, j: int) -> tuple:
+        return tuple(map(ids, d.mb_eval(words[i], words[j])))
+
+    @functools.cache
+    def an(i: int, j: int) -> tuple:
+        rho = d.anchor_eval(words[i], words[j])
+        return ids(rho), ids(rho.permute((1, 0), -sign_exp(r + degs[j], r + degs[i])))
+
+    return words, degs, mb, an
+
+
+def _failure(alg: FreeAlgebra, words: list, triple: tuple, terms: dict) -> tuple:
+    """The witness and residual of a failing triple of ids."""
+    return (alg.render_words(*(words[i] for i in triple)),
+            Tensor3(alg, {tuple(words[i] for i in k): c for k, c in terms.items()}).render())
+
+
+def _c_anchor_jacobi(d: DLRData, table: tuple, nm: int, nb: int):
     """Failures of (c), the second anchor compatibility, on (base, module,
-    module) triples."""
+    module) triples of ids: nm module words, then nb base words."""
     alg, r = d.bimodule.ambient, d.shift.r
-    deg, odd = alg.degree, alg.has_odd
-    for wa, wm, wn in itertools.product(bwords, mwords, mwords):
-        da, dm, dn = deg(wa), deg(wm), deg(wn)
-        terms: dict = {}
-        L, _R = d.mb_eval(wm, wn)
-        for (u, v), c in L.terms.items():
-            for (t1, t2), c2 in d.rho_tau(wa, u).terms.items():
-                k3 = (t1, t2, v)
-                terms[k3] = terms.get(k3, 0) + c * c2
-        s2 = sign_exp(da + r, (dm + r) + (dn + r))
-        for (p, q), c in d.anchor_eval(wn, wa).terms.items():
-            for (t1, t2), c2 in d.anchor_eval(wm, p).terms.items():
-                s = s2 * sign_exp(deg(t1) + deg(t2), deg(q)) if odd else s2
-                k3 = (q, t1, t2)
-                terms[k3] = terms.get(k3, 0) + s * c * c2
-        s3 = sign_exp((da + r) + (dm + r), dn + r)
-        for (p, q), c in d.rho_tau(wa, wm).terms.items():
-            for (t1, t2), c2 in d.anchor_eval(wn, p).terms.items():
-                s = s3 * sign_exp(deg(t1), deg(t2) + deg(q)) if odd else s3
-                k3 = (t2, q, t1)
-                terms[k3] = terms.get(k3, 0) + s * c * c2
-        if any(terms.values()):
-            yield alg.render_words(wa, wm, wn), Tensor3(alg, terms).render()
+    odd = alg.has_odd
+    words, degs, mb, an = table
+    sh = [g + r for g in degs[:nm + nb]]  # shifted slot degrees
+    for a in range(nm, nm + nb):
+        for m in range(nm):
+            tau_am = an(m, a)[1]
+            for n in range(nm):
+                L = mb(m, n)[0]
+                rho_na = an(n, a)[0]
+                if not (L or rho_na or tau_am):
+                    continue
+                terms: dict = {}
+                for u, v, c in L:
+                    for t1, t2, c2 in an(u, a)[1]:
+                        k3 = (t1, t2, v)
+                        terms[k3] = terms.get(k3, 0) + c * c2
+                if rho_na:
+                    s2 = sign_exp(sh[a], sh[m] + sh[n])
+                    for p, q, c in rho_na:
+                        for t1, t2, c2 in an(m, p)[0]:
+                            s = s2 * sign_exp(degs[t1] + degs[t2], degs[q]) if odd else s2
+                            k3 = (q, t1, t2)
+                            terms[k3] = terms.get(k3, 0) + s * c * c2
+                if tau_am:
+                    s3 = sign_exp(sh[a] + sh[m], sh[n])
+                    for p, q, c in tau_am:
+                        for t1, t2, c2 in an(n, p)[0]:
+                            s = s3 * sign_exp(degs[t1], degs[t2] + degs[q]) if odd else s3
+                            k3 = (t2, q, t1)
+                            terms[k3] = terms.get(k3, 0) + s * c * c2
+                if any(terms.values()):
+                    yield _failure(alg, words, (a, m, n), terms)
 
 
-def _d_double_jacobi(d: DLRData, mwords: list):
-    """Failures of (d), double Jacobi on module-word triples."""
+def _d_double_jacobi(d: DLRData, table: tuple, nm: int):
+    """Failures of (d), double Jacobi on triples of module-word ids."""
     alg, r = d.bimodule.ambient, d.shift.r
-    deg, odd = alg.degree, alg.has_odd
-    for w1, w2, w3 in itertools.product(mwords, mwords, mwords):
-        d1, d2, d3 = deg(w1), deg(w2), deg(w3)
-        terms = {}
-        L23, _ = d.mb_eval(w2, w3)
-        for (u, v), c in L23.terms.items():
-            Lu, _ = d.mb_eval(w1, u)
-            for (s1, t1), c2 in Lu.terms.items():
-                k3 = (s1, t1, v)
-                terms[k3] = terms.get(k3, 0) + c * c2
-        s2 = sign_exp((d1 + r) + (d2 + r), d3 + r)
-        L12, _ = d.mb_eval(w1, w2)
-        for (u, v), c in L12.terms.items():
-            _, Ru = d.mb_eval(w3, u)
-            for (p, q), c2 in Ru.terms.items():
-                s = s2 * sign_exp(deg(p), deg(q) + deg(v)) if odd else s2
-                k3 = (q, v, p)
-                terms[k3] = terms.get(k3, 0) + s * c * c2
-        s3 = sign_exp(d1 + r, (d2 + r) + (d3 + r))
-        _, R31 = d.mb_eval(w3, w1)
-        for (p, q), c in R31.terms.items():
-            for (t1, t2), c2 in d.anchor_eval(w2, p).terms.items():
-                s = s3 * sign_exp(deg(t1) + deg(t2), deg(q)) if odd else s3
-                k3 = (q, t1, t2)
-                terms[k3] = terms.get(k3, 0) + s * c * c2
-        if any(terms.values()):
-            yield alg.render_words(w1, w2, w3), Tensor3(alg, terms).render()
+    odd = alg.has_odd
+    words, degs, mb, an = table
+    sh = [g + r for g in degs[:nm]]  # shifted slot degrees
+    # the values at enumerated pairs, read once per triple, as rows
+    rows = [[mb(i, j) for j in range(nm)] for i in range(nm)]
+    for i, row_i in enumerate(rows):
+        col_i = [row[i][1] for row in rows]
+        for j, row_j in enumerate(rows):
+            L12 = row_i[j][0]
+            for k, (L23, _), R31 in zip(range(nm), row_j, col_i):
+                if not (L23 or L12 or R31):
+                    continue
+                terms: dict = {}
+                for u, v, c in L23:
+                    for s1, t1, c2 in mb(i, u)[0]:
+                        k3 = (s1, t1, v)
+                        terms[k3] = terms.get(k3, 0) + c * c2
+                if L12:
+                    s2 = sign_exp(sh[i] + sh[j], sh[k])
+                    for u, v, c in L12:
+                        for p, q, c2 in mb(k, u)[1]:
+                            s = s2 * sign_exp(degs[p], degs[q] + degs[v]) if odd else s2
+                            k3 = (q, v, p)
+                            terms[k3] = terms.get(k3, 0) + s * c * c2
+                if R31:
+                    s3 = sign_exp(sh[i], sh[j] + sh[k])
+                    for p, q, c in R31:
+                        for t1, t2, c2 in an(j, p)[0]:
+                            s = s3 * sign_exp(degs[t1] + degs[t2], degs[q]) if odd else s3
+                            k3 = (q, t1, t2)
+                            terms[k3] = terms.get(k3, 0) + s * c * c2
+                if any(terms.values()):
+                    yield _failure(alg, words, (i, j, k), terms)
 
 
 def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
@@ -424,8 +462,9 @@ def dlr_check(d: DLRData, max_len: int = 3) -> CheckReport:
     rep.first_failure("a-antisymmetry", _a_antisymmetry(d, mwords))
     rep.first_failure("anchor-properties", _anchor_properties(d, mwords, bwords))
     rep.first_failure("b-derivation-compat", _b_derivation_compat(d, mwords))
-    rep.first_failure("c-anchor-jacobi", _c_anchor_jacobi(d, mwords, bwords))
-    return rep.first_failure("d-double-jacobi", _d_double_jacobi(d, mwords))
+    table = _word_ids(d, mwords, bwords)
+    rep.first_failure("c-anchor-jacobi", _c_anchor_jacobi(d, table, len(mwords), len(bwords)))
+    return rep.first_failure("d-double-jacobi", _d_double_jacobi(d, table, len(mwords)))
 
 
 # -- linear bracket correspondence ---------------------------------------

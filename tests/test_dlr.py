@@ -1,12 +1,17 @@
 """Anchored module brackets: validation, evaluation, the five-condition
 checker, conversion to and from plain brackets, and product tables."""
 
+import collections
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpoisson.core import Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, tensor2
+from dpoisson import dlr
+from dpoisson.calculus import koszul_bracket
+from dpoisson.core import (Colour, FreeAlgebra, Generator, ShiftContext, Tensor2, Tensor3,
+                           sign_exp, tensor2)
 from dpoisson.brackets import BracketSpec, run_bracket_checks
 from dpoisson.dlr import (
     BimoduleSpec,
@@ -217,12 +222,13 @@ def test_dual_route_verdicts_agree():
 
 
 @st.composite
-def graded_dlr_data(draw):
+def graded_dlr_data(draw, max_base=2):
     """Base generators x(, y) and module generators m, n of degree 0 or 1,
     shift -2..1, small integer coefficients on legs of length <= 2.  The
     module bracket has the off-diagonal [m, n] rule only, so every [n, m]
-    value comes from its antisymmetry partner."""
-    bdeg = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    value comes from its antisymmetry partner.  At most max_base base
+    generators."""
+    bdeg = draw(st.lists(st.integers(0, 1), min_size=1, max_size=max_base))
     mdeg = draw(st.lists(st.integers(0, 1), min_size=2, max_size=2))
     bm = BimoduleSpec(FreeAlgebra(tuple(Generator(g, d) for g, d in zip("xy", bdeg))),
                       [Generator(g, d) for g, d in zip("mn", mdeg)])
@@ -257,6 +263,146 @@ def test_dlr_evaluators_match_the_linear_bracket(d):
             assert l + r == spec.eval_words(w1, w2)
         for wa in bwords:
             assert d.anchor_eval(w1, wa) == spec.eval_words(w1, wa)
+
+
+# -- conditions (c) and (d) against their word-keyed references ---------
+
+
+def reference_c_anchor_jacobi(d, max_len):
+    """Every failure of (c) on (base, module, module) word triples in
+    product order, keyed by words and asking the evaluators per term."""
+    alg, r = d.bimodule.ambient, d.shift.r
+    deg, odd = alg.degree, alg.has_odd
+
+    def rho_tau(wa, wm):
+        """The swapped anchor -tau rho tau."""
+        return d.anchor_eval(wm, wa).permute((1, 0), -sign_exp(r + deg(wa), r + deg(wm)))
+
+    mwords, bwords = list(d.bimodule.module_words(max_len)), list(d.bimodule.base_words(max_len))
+    for wa, wm, wn in itertools.product(bwords, mwords, mwords):
+        da, dm, dn = deg(wa), deg(wm), deg(wn)
+        terms: dict = {}
+        L, _R = d.mb_eval(wm, wn)
+        for (u, v), c in L.terms.items():
+            for (t1, t2), c2 in rho_tau(wa, u).terms.items():
+                k3 = (t1, t2, v)
+                terms[k3] = terms.get(k3, 0) + c * c2
+        s2 = sign_exp(da + r, (dm + r) + (dn + r))
+        for (p, q), c in d.anchor_eval(wn, wa).terms.items():
+            for (t1, t2), c2 in d.anchor_eval(wm, p).terms.items():
+                s = s2 * sign_exp(deg(t1) + deg(t2), deg(q)) if odd else s2
+                k3 = (q, t1, t2)
+                terms[k3] = terms.get(k3, 0) + s * c * c2
+        s3 = sign_exp((da + r) + (dm + r), dn + r)
+        for (p, q), c in rho_tau(wa, wm).terms.items():
+            for (t1, t2), c2 in d.anchor_eval(wn, p).terms.items():
+                s = s3 * sign_exp(deg(t1), deg(t2) + deg(q)) if odd else s3
+                k3 = (t2, q, t1)
+                terms[k3] = terms.get(k3, 0) + s * c * c2
+        if any(terms.values()):
+            yield alg.render_words(wa, wm, wn), Tensor3(alg, terms).render()
+
+
+def reference_d_double_jacobi(d, max_len):
+    """Every failure of (d) on module word triples in product order, keyed
+    by words and asking the evaluators per term."""
+    alg, r = d.bimodule.ambient, d.shift.r
+    deg, odd = alg.degree, alg.has_odd
+    mwords = list(d.bimodule.module_words(max_len))
+    for w1, w2, w3 in itertools.product(mwords, mwords, mwords):
+        d1, d2, d3 = deg(w1), deg(w2), deg(w3)
+        terms = {}
+        L23, _ = d.mb_eval(w2, w3)
+        for (u, v), c in L23.terms.items():
+            Lu, _ = d.mb_eval(w1, u)
+            for (s1, t1), c2 in Lu.terms.items():
+                k3 = (s1, t1, v)
+                terms[k3] = terms.get(k3, 0) + c * c2
+        s2 = sign_exp((d1 + r) + (d2 + r), d3 + r)
+        L12, _ = d.mb_eval(w1, w2)
+        for (u, v), c in L12.terms.items():
+            _, Ru = d.mb_eval(w3, u)
+            for (p, q), c2 in Ru.terms.items():
+                s = s2 * sign_exp(deg(p), deg(q) + deg(v)) if odd else s2
+                k3 = (q, v, p)
+                terms[k3] = terms.get(k3, 0) + s * c * c2
+        s3 = sign_exp(d1 + r, (d2 + r) + (d3 + r))
+        _, R31 = d.mb_eval(w3, w1)
+        for (p, q), c in R31.terms.items():
+            for (t1, t2), c2 in d.anchor_eval(w2, p).terms.items():
+                s = s3 * sign_exp(deg(t1) + deg(t2), deg(q)) if odd else s3
+                k3 = (q, t1, t2)
+                terms[k3] = terms.get(k3, 0) + s * c * c2
+        if any(terms.values()):
+            yield alg.render_words(w1, w2, w3), Tensor3(alg, terms).render()
+
+
+def c_and_d_failures(d, max_len):
+    """Every failure of the id-keyed (c) and (d) on one table, as dlr_check
+    builds it."""
+    mwords, bwords = list(d.bimodule.module_words(max_len)), list(d.bimodule.base_words(max_len))
+    table = dlr._word_ids(d, mwords, bwords)
+    return (list(dlr._c_anchor_jacobi(d, table, len(mwords), len(bwords))),
+            list(dlr._d_double_jacobi(d, table, len(mwords))))
+
+
+def reference_failures(d, max_len):
+    return (list(reference_c_anchor_jacobi(d, max_len)),
+            list(reference_d_double_jacobi(d, max_len)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(graded_dlr_data())
+def test_c_and_d_match_the_word_keyed_references(d):
+    assert c_and_d_failures(d, 2) == reference_failures(d, 2)
+
+
+# at length 3 a second base generator makes a failing table take seconds,
+# most of it rendering thousands of failures, so the sample keeps one
+@settings(max_examples=6, deadline=None)
+@given(graded_dlr_data(max_base=1))
+def test_c_and_d_match_the_word_keyed_references_at_length_3(d):
+    assert c_and_d_failures(d, 3) == reference_failures(d, 3)
+
+
+@pytest.mark.parametrize("max_len", [2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: koszul_bracket(block("graded.dbr", "GB")),  # |a| = 1, r = -2
+    lambda: block("flipped_anchor.dbr", "KBAD"),
+    lambda: block("dropped_term.dbr", "KBAD"),
+], ids=["koszul-graded", "flipped-anchor", "dropped-term"])
+def test_c_and_d_match_the_word_keyed_references_on_fixtures(make, max_len):
+    d = make()
+    assert c_and_d_failures(d, max_len) == reference_failures(d, max_len)
+
+
+def test_c_and_d_read_each_pair_once():
+    # (c) and (d) ask mb_eval and anchor_eval once per pair of words and
+    # read every later term from their pair tables; only outermost calls
+    # count, as the evaluators recurse through themselves
+    d = koszul_bracket(block("f1.dbr", "B"))
+    calls = collections.Counter()
+    depth = [0]
+
+    def counted(name):
+        fn = getattr(dlr.DLRData, name)
+
+        def wrapper(self, *words):
+            if not depth[0]:
+                calls[name, words] += 1
+            depth[0] += 1
+            try:
+                return fn(self, *words)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("mb_eval", "anchor_eval"):
+            mp.setattr(dlr.DLRData, name, counted(name))
+        assert c_and_d_failures(d, 3) == ([], [])
+    assert {name for name, _ in calls} == {"mb_eval", "anchor_eval"}
+    assert max(calls.values()) == 1
 
 
 def test_linear_to_dlr_rejects_higher_terms():
