@@ -11,6 +11,9 @@ a check stops at its first failing input, except that left Leibniz, which
 evaluates (a, b, c) with its swap (b, a, c), may run on to the row of first
 slot b, and double Jacobi evaluates every triple, once per rotation orbit,
 for its cyclic-stability entry; each reports the first failure in order.
+The left-leibniz and necklace-jacobi entries may pass with no input
+enumerated, by a fact an earlier check on the same spec recorded (see
+`brackets`); a failure is always found by enumeration.
 """
 
 from __future__ import annotations
