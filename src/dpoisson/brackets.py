@@ -471,7 +471,6 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
         spec._vanishing.add(("left-leibniz", max_len))
         return rep.first_failure("left-leibniz", ())
     words, degs, _, lb = _word_ids(spec, max_len)
-    n = len(words)
 
     def nested(x: int, y: int, z: int) -> dict:
         """{x,{y,z}} on ids."""
@@ -481,41 +480,17 @@ def check_left_leibniz(spec: BracketSpec, max_len: int = 3) -> CheckReport:
                 out[u] = out.get(u, 0) + cw * cu
         return out
 
-    def residual(x: int, y: int, z: int, x_yz: dict, y_xz: dict, s: int) -> dict:
-        """{x,{y,z}} - {{x,y},z} - s {y,{x,z}} from its first and last terms."""
-        res = dict(x_yz)
-        for w, cw in lb(x, y):
-            for u, cu in lb(w, z):
-                res[u] = res.get(u, 0) - cw * cu
-        for u, c in y_xz.items():
-            res[u] = res.get(u, 0) - s * c
-        return res
-
-    def failure(i: int, j: int, k: int, res: dict) -> tuple:
-        return (alg.render_words(words[i], words[j], words[k]),
-                NCPoly(alg, {words[u]: c for u, c in res.items()}).scale(back).render())
-
     def failures():
-        # row i evaluates (i, j, k) and its swap (j, i, k) for every j >= i
-        # from the shared terms {a,{b,c}} and {b,{a,c}} (the sign is
-        # symmetric in a and b); a swap failure waits in later[j], in
-        # enumeration order, for row j, which it precedes
-        later: list = [[] for _ in range(n)]
-        for i in range(n):
-            for b, k, res in later[i]:
-                yield failure(i, b, k, res)
-            for j in range(i, n):
-                s = sign_exp(r + degs[i], r + degs[j])
-                for k in range(n):
-                    a_bc = nested(i, j, k)
-                    b_ac = a_bc if j == i else nested(j, i, k)
-                    res = residual(i, j, k, a_bc, b_ac, s)
-                    if any(res.values()):
-                        yield failure(i, j, k, res)
-                    if j != i:
-                        res = residual(j, i, k, b_ac, a_bc, s)
-                        if any(res.values()):
-                            later[j].append((i, k, res))
+        for i, j, k in itertools.product(range(len(words)), repeat=3):
+            res, s = nested(i, j, k), sign_exp(r + degs[i], r + degs[j])
+            for w, cw in lb(i, j):
+                for u, cu in lb(w, k):
+                    res[u] = res.get(u, 0) - cw * cu
+            for u, c in nested(j, i, k).items():
+                res[u] = res.get(u, 0) - s * c
+            if any(res.values()):
+                yield (alg.render_words(words[i], words[j], words[k]),
+                       NCPoly(alg, {words[u]: c for u, c in res.items()}).scale(back).render())
 
     if rep.first_failure("left-leibniz", failures()).ok:
         spec._vanishing.add(("left-leibniz", max_len))

@@ -7,10 +7,9 @@ can be suppressed so two runs compare byte for byte.
 Every check yields its failures, one (witness, residual) pair per failing
 input in enumeration order, and `CheckReport.first_failure` records the
 first of them, or a PASS when there is none.  Failures are read lazily, so
-a check stops at its first failing input, except that left Leibniz, which
-evaluates (a, b, c) with its swap (b, a, c), may run on to the row of first
-slot b, and double Jacobi evaluates every triple, once per rotation orbit,
-for its cyclic-stability entry; each reports the first failure in order.
+a check stops at its first failing input, except that double Jacobi
+evaluates every triple, once per rotation orbit, for its cyclic-stability
+entry and reports the first failure in order.
 The left-leibniz and necklace-jacobi entries may pass with no input
 enumerated, by a fact an earlier check on the same spec recorded (see
 `brackets`); a failure is always found by enumeration.

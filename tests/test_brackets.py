@@ -578,7 +578,7 @@ def test_double_jacobi_first_terms_once_per_orbit(monkeypatch):
     assert len({r for a, b, c in seen for r in ((a, b, c), (c, a, b), (b, c, a))}) == n ** 3
 
 
-# -- left Leibniz per swap orbit, necklace brackets once per pair -----------
+# -- left Leibniz in product order, necklace brackets once per pair --------
 
 
 def leibniz_residual(spec, t):
@@ -607,7 +607,7 @@ def reference_left_leibniz(spec, max_len):
 
 # {{x, x}} = 1 (x) 1 is not antisymmetric, so the left Leibniz residuals of
 # (a, b, c) and (b, a, c) differ, and the first failing triple (x.x, x, x)
-# is the swap partner of (x, x.x, x), evaluated in an earlier row
+# is the swap partner of the earlier triple (x, x.x, x)
 SWAP_FIRST = BracketSpec(FreeAlgebra((Generator("x"),)), ShiftContext(0),
                          {(0, 0): tensor2(FreeAlgebra((Generator("x"),)), ("1", "1"))})
 
@@ -769,6 +769,7 @@ def fresh(spec):
 @example(LINE, 2)
 @example(SN_ODD, 2)
 @example(dlr_to_linear(block("koszul_f2.dbr", "K")), 2)
+@example(block("rational.dbr", "ODD"), 2)  # fails double Jacobi, passes by enumeration
 def test_left_leibniz_and_necklace_after_double_jacobi(spec, max_len):
     # on one spec the two checks may pass by the facts double Jacobi and
     # then left Leibniz record; each entry is still what the references find
@@ -787,7 +788,9 @@ def test_left_leibniz_and_necklace_after_double_jacobi(spec, max_len):
     (block("fail_jacobi.dbr", "BAD"), 2, True),  # fails double Jacobi
     (DIAGONAL, 1, True),  # passes double Jacobi, {{x, x}} is not antisymmetric
     (LINE, 2, False),
-], ids=["f1", "swap-first", "fail-jacobi", "diagonal", "line"])
+    (block("rational.dbr", "P"), 2, False),  # the fact lives on the integral multiple
+    (block("rational.dbr", "ODD"), 2, True),  # fails double Jacobi, passes left Leibniz
+], ids=["f1", "swap-first", "fail-jacobi", "diagonal", "line", "rational-p", "rational-odd"])
 def test_left_leibniz_enumerates_unless_the_jacobiators_vanish(monkeypatch, spec, max_len,
                                                                enumerates):
     spec, calls = fresh(spec), []
